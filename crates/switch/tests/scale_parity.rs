@@ -19,14 +19,14 @@ use iguard_flow::features::SWITCH_FL_DIM;
 use iguard_flow::five_tuple::{FiveTuple, PROTO_TCP, PROTO_UDP};
 use iguard_flow::packet::{Packet, TcpFlags};
 use iguard_flow::sketch::CountMinSketch;
-use iguard_flow::table::FlowTableConfig;
+use iguard_flow::table::{FlowShard, FlowTableConfig, PhaseSchedule};
 use iguard_runtime::par::with_workers;
 use iguard_runtime::proptest_lite;
 use iguard_runtime::rng::Rng;
 use iguard_switch::controller::{Controller, ControllerConfig};
 use iguard_switch::pipeline::{
-    ControlAction, PathCounters, Pipeline, PipelineConfig, ProcessOutcome, SeqDigest,
-    WhitelistCounters,
+    ControlAction, OverloadConfig, PathCounters, Pipeline, PipelineConfig, ProcessOutcome,
+    SeqDigest, WhitelistCounters,
 };
 use iguard_switch::replay::{replay, ReplayConfig, ReplayReport};
 use iguard_switch::{DataPlane, SketchEviction, SketchedPipeline, SketchedPipelineConfig};
@@ -428,4 +428,176 @@ fn cms_bound_holds_on_adversarial_zipf_stream() {
     }
     let frac = violations as f64 / truth.len() as f64;
     assert!(frac <= 4.0 * cms.delta(), "violation fraction {frac} vs δ {}", cms.delta());
+}
+
+/// FNV-1a step of the pinned fingerprints below.
+fn fnv(h: u64, x: u64) -> u64 {
+    (h ^ x).wrapping_mul(0x0000_0100_0000_01B3)
+}
+
+/// One budgeted sketched run of the pinned matrix: a 32-slot-per-table
+/// flow table (so collisions and classified displacement happen), a
+/// 24-flow budget below the live resident set, promote threshold 2, and
+/// controller-style feedback between batches (benign digests clear their
+/// flow, malicious ones install a blacklist entry).
+fn pinned_run(pkts: &[Packet], policy: SketchEviction, phased: bool) -> String {
+    let mut ft = FlowTableConfig::default().with_slots_per_table(8).with_pkt_threshold(5);
+    if phased {
+        ft = ft.with_phases(PhaseSchedule::new(&[2, 3]));
+    }
+    let overload = OverloadConfig::default()
+        .with_degrade_enter_milli(380)
+        .with_degrade_exit_milli(300)
+        .with_digest_buffer_cap(4);
+    let mut scfg = SketchedPipelineConfig::default()
+        .with_pipeline(PipelineConfig::default().with_flow_table(ft).with_overload(overload))
+        .with_budget_bytes(Some(12 * FlowShard::slot_bytes()))
+        .with_promote_threshold(2)
+        .with_eviction(policy)
+        .with_seed(0x51DE_CA12);
+    scfg.window_packets = 900;
+    let mut pl = accept_all(4);
+    pl.whitelist[0].hi[2] = 1000.0; // PL feature 2 = wire length
+    let mut dp = SketchedPipeline::new(scfg, mean_size_whitelist(600.0), pl);
+    if phased {
+        dp.set_phase_rulesets(&[mean_size_whitelist(300.0), mean_size_whitelist(500.0)]);
+    }
+    let (mut h, mut buf, mut digests) = (0xcbf2_9ce4_8422_2325u64, Vec::new(), Vec::new());
+    for batch in pkts.chunks(256) {
+        dp.process_batch(batch, &mut buf);
+        for o in &buf {
+            h = fnv(h, o.verdict as u64 | (o.path as u64) << 8 | (o.mirrored as u64) << 16);
+        }
+        digests.clear();
+        dp.drain_seq_digests_into(&mut digests);
+        for sd in &digests {
+            let d = sd.digest;
+            h = fnv(h, sd.seq);
+            h = fnv(h, d.five.exact_hash(1) ^ (d.malicious as u64) << 1 ^ (d.phase as u64) << 2);
+            dp.apply(if d.malicious {
+                ControlAction::InstallBlacklist(d.five)
+            } else {
+                ControlAction::ClearFlow(d.five)
+            });
+        }
+    }
+    format!(
+        "{h:#x} {:?} {:?} {:?} {:?}",
+        dp.counters(),
+        dp.whitelist_counters(),
+        dp.sketch_stats().unwrap(),
+        dp.overload_stats()
+    )
+}
+
+/// Fingerprints of [`pinned_run`]: phases off then on, each in the order
+/// FIFO, LRU, random, 2Q.
+const PINNED: [&str; 8] = [
+    // phased = false, Fifo
+    "0x494868cfa9d490a1 PathCounters { blacklist: 85, brown: 2222, blue: 32, \
+         orange: 3658, purple: 3, green_loopback: 32 } WhitelistCounters { lookups: \
+         5930, hits: 3959 } SketchStats { tracked: 11, max_tracked: 12, \
+         resident_bytes: 1760, budget_bytes: Some(1920), sketch_bytes: 73728, \
+         promoted: 3205, absorbed: 2522, evicted: 1572 } OverloadStats { pressure: \
+         PressureStats { pressure_milli: 343, churn_milli: 179, churn_milli_hwm: 417, \
+         occupancy_hwm: 12, collision_window_hwm: 90, eviction_window_hwm: 39, \
+         evictions: 2059 }, degraded_shards: 1, degraded_entries: 1, degraded_exits: \
+         0, degraded_batches: 16, shed_benign: 15, shed_malicious: 0, \
+         admission_tightened: 150, digest_buffered_hwm: 4 }",
+    // phased = false, Lru
+    "0xc16db7ff2cb80646 PathCounters { blacklist: 120, brown: 2077, blue: 30, \
+         orange: 3769, purple: 4, green_loopback: 30 } WhitelistCounters { lookups: \
+         5894, hits: 3934 } SketchStats { tracked: 11, max_tracked: 12, \
+         resident_bytes: 1760, budget_bytes: Some(1920), sketch_bytes: 73728, \
+         promoted: 2990, absorbed: 2700, evicted: 1478 } OverloadStats { pressure: \
+         PressureStats { pressure_milli: 406, churn_milli: 406, churn_milli_hwm: 414, \
+         occupancy_hwm: 12, collision_window_hwm: 95, eviction_window_hwm: 42, \
+         evictions: 1919 }, degraded_shards: 1, degraded_entries: 1, degraded_exits: \
+         0, degraded_batches: 16, shed_benign: 12, shed_malicious: 0, \
+         admission_tightened: 371, digest_buffered_hwm: 4 }",
+    // phased = false, Random
+    "0xf467b5e651eac00f PathCounters { blacklist: 126, brown: 2331, blue: 32, \
+         orange: 3508, purple: 3, green_loopback: 32 } WhitelistCounters { lookups: \
+         5892, hits: 3930 } SketchStats { tracked: 12, max_tracked: 12, \
+         resident_bytes: 1920, budget_bytes: Some(1920), sketch_bytes: 73728, \
+         promoted: 3217, absorbed: 2478, evicted: 1576 } OverloadStats { pressure: \
+         PressureStats { pressure_milli: 375, churn_milli: 363, churn_milli_hwm: 429, \
+         occupancy_hwm: 12, collision_window_hwm: 95, eviction_window_hwm: 45, \
+         evictions: 2182 }, degraded_shards: 1, degraded_entries: 1, degraded_exits: \
+         0, degraded_batches: 16, shed_benign: 14, shed_malicious: 0, \
+         admission_tightened: 128, digest_buffered_hwm: 3 }",
+    // phased = false, TwoQ
+    "0x3acce057505c21d0 PathCounters { blacklist: 168, brown: 2160, blue: 35, \
+         orange: 3635, purple: 2, green_loopback: 35 } WhitelistCounters { lookups: \
+         5845, hits: 3902 } SketchStats { tracked: 12, max_tracked: 12, \
+         resident_bytes: 1920, budget_bytes: Some(1920), sketch_bytes: 73728, \
+         promoted: 3084, absorbed: 2563, evicted: 1528 } OverloadStats { pressure: \
+         PressureStats { pressure_milli: 375, churn_milli: 144, churn_milli_hwm: 406, \
+         occupancy_hwm: 12, collision_window_hwm: 95, eviction_window_hwm: 42, \
+         evictions: 2016 }, degraded_shards: 1, degraded_entries: 1, degraded_exits: \
+         0, degraded_batches: 16, shed_benign: 9, shed_malicious: 0, \
+         admission_tightened: 260, digest_buffered_hwm: 4 }",
+    // phased = true, Fifo
+    "0xe13b0ea378ccb88e PathCounters { blacklist: 537, brown: 2086, blue: 114, \
+         orange: 3256, purple: 7, green_loopback: 114 } WhitelistCounters { lookups: \
+         5545, hits: 3710 } SketchStats { tracked: 12, max_tracked: 12, \
+         resident_bytes: 1920, budget_bytes: Some(1920), sketch_bytes: 73728, \
+         promoted: 3049, absorbed: 2230, evicted: 1526 } OverloadStats { pressure: \
+         PressureStats { pressure_milli: 386, churn_milli: 386, churn_milli_hwm: 421, \
+         occupancy_hwm: 12, collision_window_hwm: 79, eviction_window_hwm: 50, \
+         evictions: 2041 }, degraded_shards: 1, degraded_entries: 1, degraded_exits: \
+         0, degraded_batches: 12, shed_benign: 21, shed_malicious: 24, \
+         admission_tightened: 213, digest_buffered_hwm: 4 }",
+    // phased = true, Lru
+    "0xd559413487b2f20e PathCounters { blacklist: 551, brown: 2010, blue: 114, \
+         orange: 3314, purple: 11, green_loopback: 114 } WhitelistCounters { lookups: \
+         5530, hits: 3693 } SketchStats { tracked: 11, max_tracked: 12, \
+         resident_bytes: 1760, budget_bytes: Some(1920), sketch_bytes: 73728, \
+         promoted: 2931, absorbed: 2327, evicted: 1476 } OverloadStats { pressure: \
+         PressureStats { pressure_milli: 367, churn_milli: 367, churn_milli_hwm: 425, \
+         occupancy_hwm: 12, collision_window_hwm: 90, eviction_window_hwm: 42, \
+         evictions: 1984 }, degraded_shards: 1, degraded_entries: 1, degraded_exits: \
+         0, degraded_batches: 16, shed_benign: 22, shed_malicious: 19, \
+         admission_tightened: 322, digest_buffered_hwm: 4 }",
+    // phased = true, Random
+    "0x3a96b096f530f980 PathCounters { blacklist: 561, brown: 2055, blue: 111, \
+         orange: 3264, purple: 9, green_loopback: 111 } WhitelistCounters { lookups: \
+         5524, hits: 3678 } SketchStats { tracked: 12, max_tracked: 12, \
+         resident_bytes: 1920, budget_bytes: Some(1920), sketch_bytes: 73728, \
+         promoted: 2894, absorbed: 2365, evicted: 1394 } OverloadStats { pressure: \
+         PressureStats { pressure_milli: 437, churn_milli: 437, churn_milli_hwm: 437, \
+         occupancy_hwm: 12, collision_window_hwm: 75, eviction_window_hwm: 53, \
+         evictions: 2023 }, degraded_shards: 1, degraded_entries: 1, degraded_exits: \
+         0, degraded_batches: 16, shed_benign: 22, shed_malicious: 17, \
+         admission_tightened: 362, digest_buffered_hwm: 4 }",
+    // phased = true, TwoQ
+    "0x4956004892a37f7d PathCounters { blacklist: 580, brown: 2003, blue: 107, \
+         orange: 3298, purple: 12, green_loopback: 107 } WhitelistCounters { lookups: \
+         5500, hits: 3675 } SketchStats { tracked: 11, max_tracked: 12, \
+         resident_bytes: 1760, budget_bytes: Some(1920), sketch_bytes: 73728, \
+         promoted: 2932, absorbed: 2306, evicted: 1465 } OverloadStats { pressure: \
+         PressureStats { pressure_milli: 378, churn_milli: 378, churn_milli_hwm: 429, \
+         occupancy_hwm: 12, collision_window_hwm: 89, eviction_window_hwm: 44, \
+         evictions: 1994 }, degraded_shards: 1, degraded_entries: 1, degraded_exits: \
+         0, degraded_batches: 16, shed_benign: 21, shed_malicious: 14, \
+         admission_tightened: 310, digest_buffered_hwm: 4 }",
+];
+
+/// The budgeted sketched backend pinned to fixed fingerprints for every
+/// eviction policy, with and without the phase ladder: the verdict and
+/// digest fold, path and whitelist counters, sketch stats and overload
+/// stats. Victim order, admission decisions and the packet walk may be
+/// re-implemented, but none of these numbers may move.
+#[test]
+fn budgeted_sketch_matches_pinned_fingerprints() {
+    let mut rng = Rng::seed_from_u64(0xB0D6_E7ED);
+    let pool = random_pool(&mut rng, 400);
+    let pkts = random_packets(&mut rng, &pool, 6000);
+    let policies =
+        [SketchEviction::Fifo, SketchEviction::Lru, SketchEviction::Random, SketchEviction::TwoQ];
+    let cases = [false, true].into_iter().flat_map(|phased| policies.map(|p| (phased, p)));
+    for ((phased, policy), want) in cases.zip(PINNED) {
+        let got = pinned_run(&pkts, policy, phased);
+        assert_eq!(got, want, "phased = {phased}, {policy:?}: fingerprint moved");
+    }
 }
