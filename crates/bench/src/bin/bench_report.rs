@@ -46,6 +46,11 @@
 //!              [--out-pr9 PATH] [--out-pr10 PATH]
 //! ```
 //!
+//! Without `--out` the five documents land on the committed
+//! `BENCH_PR6.json` … `BENCH_PR10.json`. With `--out X.json` the siblings
+//! follow it as `X.pr7.json` … `X.pr10.json`, so a scratch run never
+//! overwrites the committed history; an explicit `--out-prN` still wins.
+//!
 //! `--smoke` runs one iteration of each stage (CI sanity); the default is
 //! three, reported as min/mean/max. The run aborts if the final telemetry
 //! snapshot fails its invariant checks — or if the shard sweep's replay
@@ -136,38 +141,51 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        seed: 7,
-        out: "BENCH_PR6.json".into(),
-        out_pr7: "BENCH_PR7.json".into(),
-        out_pr8: "BENCH_PR8.json".into(),
-        out_pr9: "BENCH_PR9.json".into(),
-        out_pr10: "BENCH_PR10.json".into(),
-    };
+    const USAGE: &str = "usage: bench_report [--smoke] [--seed N] [--out PATH] [--out-pr7 PATH] \
+                         [--out-pr8 PATH] [--out-pr9 PATH] [--out-pr10 PATH]";
+    const PRS: [&str; 4] = ["pr7", "pr8", "pr9", "pr10"];
+    let (mut smoke, mut seed) = (false, 7);
+    let mut out: Option<String> = None;
+    let mut siblings: [Option<String>; 4] = Default::default();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--smoke" => args.smoke = true,
+            "--smoke" => smoke = true,
             "--seed" => {
                 let v = it.next().expect("--seed needs a value");
-                args.seed = v.parse().expect("--seed must be an integer");
+                seed = v.parse().expect("--seed must be an integer");
             }
-            "--out" => args.out = it.next().expect("--out needs a path"),
-            "--out-pr7" => args.out_pr7 = it.next().expect("--out-pr7 needs a path"),
-            "--out-pr8" => args.out_pr8 = it.next().expect("--out-pr8 needs a path"),
-            "--out-pr9" => args.out_pr9 = it.next().expect("--out-pr9 needs a path"),
-            "--out-pr10" => args.out_pr10 = it.next().expect("--out-pr10 needs a path"),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                eprintln!(
-                    "usage: bench_report [--smoke] [--seed N] [--out PATH] [--out-pr7 PATH] [--out-pr8 PATH] [--out-pr9 PATH] [--out-pr10 PATH]"
-                );
-                std::process::exit(2);
-            }
+            "--out" => out = Some(it.next().expect("--out needs a path")),
+            flag => match PRS.iter().position(|pr| flag.strip_prefix("--out-") == Some(pr)) {
+                Some(k) => siblings[k] = Some(it.next().expect("--out-prN needs a path")),
+                None => {
+                    eprintln!("unknown argument {flag:?}");
+                    eprintln!("{USAGE}");
+                    std::process::exit(2);
+                }
+            },
         }
     }
-    args
+    // An unset sibling follows `--out` (`X.json` → `X.prN.json`), or
+    // falls back to its committed `BENCH_PRN.json` without `--out`.
+    let [out_pr7, out_pr8, out_pr9, out_pr10] = std::array::from_fn(|k| {
+        siblings[k].take().unwrap_or_else(|| match &out {
+            Some(o) => std::path::Path::new(o)
+                .with_extension(format!("{}.json", PRS[k]))
+                .display()
+                .to_string(),
+            None => format!("BENCH_{}.json", PRS[k].to_uppercase()),
+        })
+    });
+    Args {
+        smoke,
+        seed,
+        out: out.unwrap_or_else(|| "BENCH_PR6.json".into()),
+        out_pr7,
+        out_pr8,
+        out_pr9,
+        out_pr10,
+    }
 }
 
 /// Min/mean/max wall-clock of a named stage across iterations.

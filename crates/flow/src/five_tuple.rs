@@ -1,5 +1,7 @@
 //! Flow identity: the classic 5-tuple and the direction-symmetric bi-hash.
 
+use std::hash::{BuildHasher, Hasher};
+
 /// IP protocol numbers this workspace cares about.
 pub const PROTO_ICMP: u8 = 1;
 /// TCP protocol number.
@@ -58,7 +60,9 @@ impl FiveTuple {
         mix(a.wrapping_add(b) ^ (self.proto as u64), seed ^ 0x9E37_79B9_7F4A_7C15)
     }
 
-    /// Direction-*sensitive* hash for exact-match tables (blacklist).
+    /// Direction-*sensitive* hash for exact-match tables: the data
+    /// plane's blacklist hashes its keys with it, through
+    /// [`FiveTupleHashBuilder`].
     pub fn exact_hash(&self, seed: u64) -> u64 {
         let mut h = seed;
         h = mix(h ^ self.src_ip as u64, seed);
@@ -87,6 +91,74 @@ impl FiveTuple {
             dst_port: u16::from_be_bytes([b[10], b[11]]),
             proto: b[12],
         }
+    }
+}
+
+/// Seeded [`BuildHasher`] for hash sets and maps keyed by [`FiveTuple`]:
+/// a few multiply-xor rounds of [`FiveTuple::exact_hash`] per probe
+/// instead of SipHash over 13 bytes. The seed is secret per table, so an
+/// attacker choosing flow keys still cannot choose their collisions.
+#[derive(Clone, Copy, Debug)]
+pub struct FiveTupleHashBuilder {
+    seed: u64,
+}
+
+impl FiveTupleHashBuilder {
+    pub fn new(seed: u64) -> Self {
+        Self { seed }
+    }
+}
+
+impl BuildHasher for FiveTupleHashBuilder {
+    type Hasher = FiveTupleHasher;
+
+    fn build_hasher(&self) -> FiveTupleHasher {
+        FiveTupleHasher { seed: self.seed, ips: 0, ports: 0, proto: 0 }
+    }
+}
+
+/// Hasher of [`FiveTupleHashBuilder`]. The derived `Hash` of a
+/// [`FiveTuple`] writes its fields in declaration order (two `u32`, two
+/// `u16`, one `u8`); the hasher collects them and finishes with
+/// [`FiveTuple::exact_hash`]. Any other input folds through `write`,
+/// which keeps the hasher correct, if slower, for other key types.
+#[derive(Clone, Copy, Debug)]
+pub struct FiveTupleHasher {
+    seed: u64,
+    ips: u64,
+    ports: u32,
+    proto: u8,
+}
+
+impl Hasher for FiveTupleHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.ips = self.ips.rotate_left(8) ^ b as u64;
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.ips = self.ips << 32 | v as u64;
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.ports = self.ports << 16 | v as u32;
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.proto = v;
+    }
+
+    fn finish(&self) -> u64 {
+        let (ips, ports) = (self.ips, self.ports);
+        FiveTuple::new(
+            (ips >> 32) as u32,
+            ips as u32,
+            (ports >> 16) as u16,
+            ports as u16,
+            self.proto,
+        )
+        .exact_hash(self.seed)
     }
 }
 
@@ -147,6 +219,17 @@ mod tests {
     fn exact_hash_is_direction_sensitive() {
         let f = t();
         assert_ne!(f.exact_hash(42), f.reversed().exact_hash(42));
+    }
+
+    #[test]
+    fn tuple_hasher_finishes_with_the_seeded_exact_hash() {
+        let f = t();
+        let b = FiveTupleHashBuilder::new(42);
+        assert_eq!(b.hash_one(f), f.exact_hash(42));
+        assert_ne!(FiveTupleHashBuilder::new(43).hash_one(f), f.exact_hash(42));
+        let mut set = std::collections::HashSet::with_hasher(b);
+        set.insert(f);
+        assert!(set.contains(&f) && !set.contains(&f.reversed()));
     }
 
     #[test]

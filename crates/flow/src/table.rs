@@ -246,15 +246,17 @@ struct Slot {
 /// What [`FlowShard::admit_prehashed`] did to slot storage — the
 /// bookkeeping signal the memory-budgeted (sketched) data plane needs to
 /// keep an exact resident count and an exact eviction book without ever
-/// scanning the tables.
+/// scanning the tables. Slots are named by their id (see
+/// [`FlowShard::capacity`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SlotClaim {
-    /// Installed into a previously empty slot: one more resident flow.
-    Fresh,
-    /// Installed over a timed-out or already-classified foreign resident,
-    /// whose key is returned: resident count unchanged, but the displaced
-    /// key is no longer tracked.
-    Displaced(FiveTuple),
+    /// Installed into the previously empty slot `.0`: one more resident
+    /// flow.
+    Fresh(u32),
+    /// Installed into slot `.0` over a timed-out or already-classified
+    /// foreign resident: resident count unchanged, but the slot now holds
+    /// a different flow.
+    Displaced(u32),
     /// Nothing installed (collision): resident set unchanged.
     Unclaimed,
 }
@@ -436,7 +438,7 @@ impl FlowShard {
     #[inline]
     fn note_claim(&mut self, claim: &SlotClaim) {
         match claim {
-            SlotClaim::Fresh => {
+            SlotClaim::Fresh(_) => {
                 self.resident += 1;
                 self.occupancy_hwm = self.occupancy_hwm.max(self.resident);
             }
@@ -481,6 +483,31 @@ impl FlowShard {
 
     fn idx2(&self, key: &FiveTuple) -> usize {
         self.reduce(key.bi_hash(self.cfg.seed2))
+    }
+
+    /// The slot named by id (see [`FlowShard::capacity`]).
+    fn slot(&self, id: u32) -> &Option<Slot> {
+        let (id, n) = (id as usize, self.cfg.slots_per_table);
+        if id < n {
+            &self.table1[id]
+        } else {
+            &self.table2[id - n]
+        }
+    }
+
+    /// Mutable [`FlowShard::slot`].
+    fn slot_mut(&mut self, id: u32) -> &mut Option<Slot> {
+        let (id, n) = (id as usize, self.cfg.slots_per_table);
+        if id < n {
+            &mut self.table1[id]
+        } else {
+            &mut self.table2[id - n]
+        }
+    }
+
+    /// Whether slot `id` currently holds a resident flow.
+    pub fn slot_is_resident(&self, id: u32) -> bool {
+        self.slot(id).is_some()
     }
 
     /// The candidate slot pair of `key` — a pure function of the config
@@ -541,7 +568,7 @@ impl FlowShard {
         tallies: &mut ObserveTallies,
     ) -> InsertOutcome {
         match self.observe_resident_prehashed(key, i1, i2, p, now_ns, tallies) {
-            Some(out) => out,
+            Some((out, _)) => out,
             None => self.admit_prehashed(key, i1, i2, p, now_ns, tallies).0,
         }
     }
@@ -549,9 +576,10 @@ impl FlowShard {
     /// The resident half of the probe/install walk: if `key` is tracked
     /// in either table, advance its state (classified / early / ready /
     /// timeout-restart, exactly as [`FlowShard::observe_prehashed`]) and
-    /// return the outcome; if untracked, return `None` **without claiming
-    /// a slot**. The seam the sketch-assisted data plane interposes on:
-    /// untracked flows go to the admission sketch instead of straight to
+    /// return the outcome with the id of the slot it lives in; if
+    /// untracked, return `None` **without claiming a slot**. The seam the
+    /// sketch-assisted data plane interposes on: untracked flows go to the
+    /// admission sketch instead of straight to
     /// [`FlowShard::admit_prehashed`].
     pub fn observe_resident_prehashed(
         &mut self,
@@ -561,21 +589,24 @@ impl FlowShard {
         p: &Packet,
         now_ns: u64,
         tallies: &mut ObserveTallies,
-    ) -> Option<InsertOutcome> {
+    ) -> Option<(InsertOutcome, u32)> {
         debug_assert_eq!(key, p.five.canonical());
         debug_assert_eq!((i1, i2), self.slot_index_pair(&key));
         self.note_observe();
-        let (i1, i2) = (i1 as usize, i2 as usize);
+        let n = self.cfg.slots_per_table as u32;
 
         // Probe for the flow itself first (either table).
         for (table_id, idx) in [(1usize, i1), (2usize, i2)] {
-            let slot_opt =
-                if table_id == 1 { &mut self.table1[idx] } else { &mut self.table2[idx] };
+            let (slot_opt, id) = if table_id == 1 {
+                (&mut self.table1[idx as usize], idx)
+            } else {
+                (&mut self.table2[idx as usize], n + idx)
+            };
             if let Some(slot) = slot_opt {
                 if slot.key == key {
                     if let Some(label) = slot.label {
                         tallies.classified += 1;
-                        return Some(InsertOutcome::Classified { label });
+                        return Some((InsertOutcome::Classified { label }, id));
                     }
                     // Timeout check before updating: an idle flow is
                     // classified on whatever state it accumulated.
@@ -587,13 +618,13 @@ impl FlowShard {
                         slot.stats = FlowStats::from_first_packet(p);
                         slot.phase = 0;
                         tallies.ready_timeout += 1;
-                        return Some(InsertOutcome::Ready { stats, timed_out: true });
+                        return Some((InsertOutcome::Ready { stats, timed_out: true }, id));
                     }
                     slot.stats.update(p);
                     if slot.stats.pkt_count >= self.cfg.pkt_threshold {
                         let stats = slot.stats;
                         tallies.ready += 1;
-                        return Some(InsertOutcome::Ready { stats, timed_out: false });
+                        return Some((InsertOutcome::Ready { stats, timed_out: false }, id));
                     }
                     // Intermediate phase boundary: surface the current
                     // state for an early look but keep tracking. `>=`
@@ -607,13 +638,11 @@ impl FlowShard {
                     {
                         slot.phase += 1;
                         tallies.phase_ready += 1;
-                        return Some(InsertOutcome::PhaseReady {
-                            stats: slot.stats,
-                            phase: ph as u8,
-                        });
+                        let stats = slot.stats;
+                        return Some((InsertOutcome::PhaseReady { stats, phase: ph as u8 }, id));
                     }
                     tallies.early += 1;
-                    return Some(InsertOutcome::Early { pkt_count: slot.stats.pkt_count });
+                    return Some((InsertOutcome::Early { pkt_count: slot.stats.pkt_count }, id));
                 }
             }
         }
@@ -623,8 +652,7 @@ impl FlowShard {
     /// The install half of the walk, for a flow known to be untracked:
     /// claim a free or reclaimable slot, or report a collision. Also
     /// reports *what storage changed* ([`SlotClaim`]) so a budgeted
-    /// caller can keep an exact resident count and learn which foreign
-    /// key was displaced.
+    /// caller can keep an exact resident count and a per-slot book.
     pub fn admit_prehashed(
         &mut self,
         key: FiveTuple,
@@ -636,18 +664,16 @@ impl FlowShard {
     ) -> (InsertOutcome, SlotClaim) {
         debug_assert_eq!(key, p.five.canonical());
         debug_assert_eq!((i1, i2), self.slot_index_pair(&key));
-        let (i1, i2) = (i1 as usize, i2 as usize);
+        let n = self.cfg.slots_per_table as u32;
 
         // Find a free slot (table 1 preferred), evicting timed-out
         // residents.
-        for (table_id, idx) in [(1usize, i1), (2usize, i2)] {
-            let slot_opt =
-                if table_id == 1 { &mut self.table1[idx] } else { &mut self.table2[idx] };
+        for id in [i1, n + i2] {
+            let timeout_ns = self.cfg.timeout_ns;
+            let slot_opt = self.slot_mut(id);
             let claim = match slot_opt {
-                None => Some(SlotClaim::Fresh),
-                Some(s) if s.stats.timed_out(now_ns, self.cfg.timeout_ns) => {
-                    Some(SlotClaim::Displaced(s.key))
-                }
+                None => Some(SlotClaim::Fresh(id)),
+                Some(s) if s.stats.timed_out(now_ns, timeout_ns) => Some(SlotClaim::Displaced(id)),
                 Some(_) => None,
             };
             if let Some(claim) = claim {
@@ -672,19 +698,17 @@ impl FlowShard {
         // Both occupied by live foreign flows — the orange path. A
         // *classified* resident can be evicted (its verdict lives on in the
         // blacklist/whitelist outcome); an unclassified one cannot.
-        for (table_id, idx) in [(1usize, i1), (2usize, i2)] {
-            let slot_opt =
-                if table_id == 1 { &mut self.table1[idx] } else { &mut self.table2[idx] };
+        for id in [i1, n + i2] {
+            let slot_opt = self.slot_mut(id);
             if let Some(s) = slot_opt {
                 if s.label.is_some() {
-                    let displaced = s.key;
                     *slot_opt = Some(Slot {
                         key,
                         stats: FlowStats::from_first_packet(p),
                         label: None,
                         phase: 0,
                     });
-                    let claim = SlotClaim::Displaced(displaced);
+                    let claim = SlotClaim::Displaced(id);
                     self.note_claim(&claim);
                     tallies.evict_classified += 1;
                     tallies.install += 1;
@@ -698,30 +722,19 @@ impl FlowShard {
         (InsertOutcome::Collision, SlotClaim::Unclaimed)
     }
 
-    /// Releases a flow's slot under memory pressure (the budgeted data
+    /// Releases slot `id` under memory pressure (the budgeted data
     /// plane's policy eviction). Identical storage effect to
     /// [`FlowShard::clear`], but counted as an eviction, not a
-    /// controller-driven clear. Returns false if the flow was not
-    /// resident (e.g. a stale eviction-book entry).
-    pub fn evict(&mut self, key: &FiveTuple) -> bool {
-        let key = key.canonical();
-        let i1 = self.idx1(&key);
-        if matches!(&self.table1[i1], Some(s) if s.key == key) {
-            self.table1[i1] = None;
-            self.resident -= 1;
-            self.evictions += 1;
-            counter!("flow.table.evict_budget").inc();
-            return true;
+    /// controller-driven clear. Returns false if the slot was empty (e.g.
+    /// a stale eviction-book entry).
+    pub fn evict_slot(&mut self, id: u32) -> bool {
+        if self.slot_mut(id).take().is_none() {
+            return false;
         }
-        let i2 = self.idx2(&key);
-        if matches!(&self.table2[i2], Some(s) if s.key == key) {
-            self.table2[i2] = None;
-            self.resident -= 1;
-            self.evictions += 1;
-            counter!("flow.table.evict_budget").inc();
-            return true;
-        }
-        false
+        self.resident -= 1;
+        self.evictions += 1;
+        counter!("flow.table.evict_budget").inc();
+        true
     }
 
     /// Resident bytes one tracked flow costs: one slot (key + stats +
@@ -770,24 +783,18 @@ impl FlowShard {
     }
 
     /// Releases the storage of a flow (controller cleanup on digest).
-    /// Returns true if the flow was resident.
-    pub fn clear(&mut self, key: &FiveTuple) -> bool {
+    /// Returns the id of the freed slot, or `None` if the flow was not
+    /// resident.
+    pub fn clear(&mut self, key: &FiveTuple) -> Option<u32> {
         let key = key.canonical();
-        let i1 = self.idx1(&key);
-        if matches!(&self.table1[i1], Some(s) if s.key == key) {
-            self.table1[i1] = None;
-            self.resident -= 1;
-            counter!("flow.table.clear").inc();
-            return true;
-        }
-        let i2 = self.idx2(&key);
-        if matches!(&self.table2[i2], Some(s) if s.key == key) {
-            self.table2[i2] = None;
-            self.resident -= 1;
-            counter!("flow.table.clear").inc();
-            return true;
-        }
-        false
+        let (i1, i2) = self.slot_index_pair(&key);
+        let id = [i1, self.cfg.slots_per_table as u32 + i2]
+            .into_iter()
+            .find(|&id| matches!(self.slot(id), Some(s) if s.key == key))?;
+        *self.slot_mut(id) = None;
+        self.resident -= 1;
+        counter!("flow.table.clear").inc();
+        Some(id)
     }
 
     /// Appends every resident flow that already carries a label, in slot
@@ -814,7 +821,11 @@ impl FlowShard {
         self.resident
     }
 
-    /// Total slot capacity across both tables.
+    /// Total slot capacity across both tables, which is also the number
+    /// of slot ids: `table1[i]` is slot `i` and `table2[i]` is slot
+    /// `slots_per_table + i`. The ids a resident hit, a [`SlotClaim`] and
+    /// [`FlowShard::clear`] report all lie in `0..capacity()`, so callers
+    /// can keep per-slot side tables.
     pub fn capacity(&self) -> usize {
         2 * self.cfg.slots_per_table
     }
@@ -872,7 +883,7 @@ impl FlowTable {
 
     /// See [`FlowShard::clear`].
     pub fn clear(&mut self, key: &FiveTuple) -> bool {
-        self.shard.clear(key)
+        self.shard.clear(key).is_some()
     }
 
     /// See [`FlowShard::labeled_flows_into`].

@@ -25,7 +25,10 @@
 //! [`BATCH_CHUNK`]-row chunk, and writes verdicts back into a
 //! preallocated outcome column. The two are parity-pinned byte for byte
 //! (verdicts, digests, counters) by debug assertions and the
-//! `soa_parity` suite.
+//! `soa_parity` suite. Every batched backend — serial, sharded and
+//! sketch-assisted — runs the columnar walk; they differ only in the
+//! [`Admission`] hook that decides whether an untracked flow may claim a
+//! flow-table slot.
 
 use std::collections::HashSet;
 
@@ -37,7 +40,7 @@ use iguard_flow::features::{
     log_compress, log_compress_vec, packet_level_features, switch_fl_features,
     switch_fl_features_into, PL_DIM, SWITCH_FL_DIM,
 };
-use iguard_flow::five_tuple::FiveTuple;
+use iguard_flow::five_tuple::{FiveTuple, FiveTupleHashBuilder};
 use iguard_flow::packet::Packet;
 use iguard_flow::table::{
     FlowShard, FlowTableConfig, FlowTableStats, InsertOutcome, ObserveTallies,
@@ -345,7 +348,10 @@ pub(crate) struct MatchScratch {
 /// [`MatchEngine::process_rows`] against this same shape.
 pub(crate) struct ShardState {
     pub(crate) flow: FlowShard,
-    pub(crate) blacklist: HashSet<FiveTuple>,
+    /// Canonical flow keys under the seeded [`FiveTupleHashBuilder`].
+    /// Point lookups only — every listing sorts — so the hash seed never
+    /// shows in any output.
+    pub(crate) blacklist: HashSet<FiveTuple, FiveTupleHashBuilder>,
     pub(crate) digests: Vec<SeqDigest>,
     pub(crate) paths: PathCounters,
     pub(crate) processed: u64,
@@ -354,9 +360,12 @@ pub(crate) struct ShardState {
 
 impl ShardState {
     pub(crate) fn new(cfg: FlowTableConfig) -> Self {
+        // The blacklist hash is seeded from the flow table's own secret
+        // seeds, so it needs no knob of its own.
+        let seed = cfg.seed1 ^ cfg.seed2.rotate_left(32);
         Self {
             flow: FlowShard::new(cfg),
-            blacklist: HashSet::new(),
+            blacklist: HashSet::with_hasher(FiveTupleHashBuilder::new(seed)),
             digests: Vec::new(),
             paths: PathCounters::default(),
             processed: 0,
@@ -534,14 +543,17 @@ impl IndexedWhitelist {
     /// Counter totals equal `cols.rows()` scalar calls, and debug builds
     /// re-assert every row against the linear scan — the scalar oracle of
     /// the batch path.
-    fn predict_batch(
+    /// `D` is the column count, so the views live on the stack and the
+    /// probe never allocates.
+    fn predict_batch<const D: usize>(
         &self,
         cols: &FeatureColumns,
         scratch: &mut BatchScratch,
         hits: &mut Vec<Option<u32>>,
         wl: &mut WhitelistCounters,
     ) {
-        let views: Vec<&[f32]> = (0..cols.dims()).map(|d| cols.column(d)).collect();
+        debug_assert_eq!(cols.dims(), D);
+        let views: [&[f32]; D] = std::array::from_fn(|d| cols.column(d));
         self.predict_batch_views(&views, scratch, hits, wl);
     }
 
@@ -591,6 +603,48 @@ struct WhitelistEpoch {
     /// evaluation disabled (every boundary look escalates). Part of the
     /// epoch so a swap flips all phases and the final ruleset together.
     phases: Vec<IndexedWhitelist>,
+}
+
+/// The flow-table step of the columnar walk, one call per packet that
+/// missed the blacklist: probe `state.flow` for `key` (slot pair
+/// `i1`/`i2` precomputed), advance a resident flow, and decide whether an
+/// untracked flow may claim a slot. `None` means the packet was
+/// **absorbed** — held back without flow-table state — and the walk
+/// gives it the stateless packet-level verdict on the orange path.
+///
+/// The walk is generic over the hook, so each backend gets its own
+/// monomorphised copy: [`AdmitAll`] compiles to the plain table probe,
+/// and the sketch-assisted backend plugs in its Bloom/count–min filter
+/// and eviction book (`crate::sketched`).
+pub(crate) trait Admission {
+    fn observe(
+        &mut self,
+        state: &mut ShardState,
+        key: FiveTuple,
+        i1: u32,
+        i2: u32,
+        pkt: &Packet,
+        tallies: &mut ObserveTallies,
+    ) -> Option<InsertOutcome>;
+}
+
+/// The exact backends' admission: every untracked flow tries for a slot
+/// on its first packet.
+pub(crate) struct AdmitAll;
+
+impl Admission for AdmitAll {
+    #[inline(always)]
+    fn observe(
+        &mut self,
+        state: &mut ShardState,
+        key: FiveTuple,
+        i1: u32,
+        i2: u32,
+        pkt: &Packet,
+        tallies: &mut ObserveTallies,
+    ) -> Option<InsertOutcome> {
+        Some(state.flow.observe_prehashed(key, i1, i2, pkt, pkt.ts_ns, tallies))
+    }
 }
 
 /// The per-packet match-action logic, factored out of [`Pipeline`] so the
@@ -795,54 +849,6 @@ impl MatchEngine {
         self.fl_rules().predict(x, words, wl)
     }
 
-    /// PL-whitelist verdict on one packet-level feature row — the
-    /// stateless brown/orange decision, exposed for the sketch-assisted
-    /// backend's scalar walk.
-    pub(crate) fn predict_pl(&self, pl: &[f32], scratch: &mut MatchScratch) -> bool {
-        self.pl_rules.predict(pl, &mut scratch.words, &mut scratch.wl)
-    }
-
-    /// Blue-path verdict from a frozen flow-stats record: the FL whitelist
-    /// (under the configured log-compression) OR-merged with the PL
-    /// verdict, with the same short-circuit order as
-    /// [`MatchEngine::process_one`] so whitelist counters stay identical.
-    pub(crate) fn predict_blue(
-        &self,
-        stats: &iguard_flow::stats::FlowStats,
-        pl: &[f32],
-        scratch: &mut MatchScratch,
-    ) -> bool {
-        iguard_flow::features::switch_fl_features_into(stats, &mut scratch.row);
-        if self.log_compress {
-            log_compress_vec(&mut scratch.row);
-        }
-        // `row` (immutable) and `words`/`wl` (mutable) are disjoint fields.
-        let MatchScratch { row, words, wl, .. } = scratch;
-        self.fl_rules().predict(row, words, wl) || self.pl_rules.predict(pl, words, wl)
-    }
-
-    /// Phase-boundary conviction probe: the per-phase FL whitelist only
-    /// (convict-only — the PL rules never pull a verdict forward).
-    /// `false` when no whitelist is installed for this phase.
-    pub(crate) fn predict_phase(
-        &self,
-        phase: u8,
-        stats: &iguard_flow::stats::FlowStats,
-        scratch: &mut MatchScratch,
-    ) -> bool {
-        match self.phase_rules(phase) {
-            Some(pwl) => {
-                iguard_flow::features::switch_fl_features_into(stats, &mut scratch.row);
-                if self.log_compress {
-                    log_compress_vec(&mut scratch.row);
-                }
-                let MatchScratch { row, words, wl, .. } = scratch;
-                pwl.predict(row, words, wl)
-            }
-            None => false,
-        }
-    }
-
     /// Runs one packet through the six-path pipeline against the given
     /// shard state. `seq` is the packet's global arrival index; a blue-path
     /// digest is tagged with it so per-shard digest streams can be merged
@@ -987,13 +993,13 @@ impl MatchEngine {
     /// The walk is split into phases per [`BATCH_CHUNK`]-row chunk:
     ///
     /// 1. **Stateful walk** — per row: blacklist probe on the
-    ///    pre-canonicalised key column, flow-table observe, and path
-    ///    dispatch. Purple/red resolve immediately. Blue resolves inline
-    ///    (its verdict writes the flow label, which later packets of the
-    ///    same flow in this very batch must see), reading FL features
-    ///    into the scratch row and the PL row straight from the feature
-    ///    columns. Brown/orange only record a *pending* entry — their PL
-    ///    decision is stateless.
+    ///    pre-canonicalised key column, flow-table observe through the
+    ///    `admission` hook, and path dispatch. Purple/red resolve
+    ///    immediately. Blue resolves inline (its verdict writes the flow
+    ///    label, which later packets of the same flow in this very batch
+    ///    must see), reading FL features into the scratch row and the PL
+    ///    row straight from the feature columns. Brown/orange only record
+    ///    a *pending* entry — their PL decision is stateless.
     /// 2. **Columnar resolve** — the pending rows' PL features are
     ///    gathered into compact columns and resolved with one batch index
     ///    probe, then written back into the outcome column branchlessly.
@@ -1002,9 +1008,10 @@ impl MatchEngine {
     /// [`MatchEngine::process_one`] over the same rows in the same order:
     /// chunk boundaries only ever split the stateless deferred lookups.
     /// `state_of` maps a batch row to its index in `states`; `seq` of row
-    /// `r` is `base_seq + r`.
+    /// `r` is `base_seq + r`. Packets the hook absorbs take the orange
+    /// path exactly like a collision.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn process_rows(
+    pub(crate) fn process_rows<A: Admission>(
         &self,
         states: &mut [ShardState],
         state_of: impl Fn(usize) -> usize,
@@ -1013,6 +1020,7 @@ impl MatchEngine {
         rows: &[u32],
         base_seq: u64,
         scratch: &mut MatchScratch,
+        admission: &mut A,
         out: &mut Vec<ProcessOutcome>,
     ) {
         out.reserve(rows.len());
@@ -1063,8 +1071,8 @@ impl MatchEngine {
                     continue;
                 }
 
-                match s.flow.observe_prehashed(key, i1, i2, pkt, pkt.ts_ns, &mut scratch.tallies) {
-                    InsertOutcome::Classified { label } => {
+                match admission.observe(s, key, i1, i2, pkt, &mut scratch.tallies) {
+                    Some(InsertOutcome::Classified { label }) => {
                         s.paths.purple += 1;
                         t_purple += 1;
                         out.push(ProcessOutcome {
@@ -1073,7 +1081,7 @@ impl MatchEngine {
                             mirrored: false,
                         });
                     }
-                    InsertOutcome::Early { .. } => {
+                    Some(InsertOutcome::Early { .. }) => {
                         s.paths.brown += 1;
                         t_brown += 1;
                         scratch.pending.push((r, out.len() as u32));
@@ -1083,7 +1091,7 @@ impl MatchEngine {
                             mirrored: false,
                         });
                     }
-                    InsertOutcome::Ready { stats, timed_out: _ } => {
+                    Some(InsertOutcome::Ready { stats, timed_out: _ }) => {
                         s.paths.blue += 1;
                         t_blue += 1;
                         switch_fl_features_into(&stats, &mut scratch.row);
@@ -1112,7 +1120,7 @@ impl MatchEngine {
                             mirrored: true,
                         });
                     }
-                    InsertOutcome::PhaseReady { stats, phase } => {
+                    Some(InsertOutcome::PhaseReady { stats, phase }) => {
                         counter!("switch.phase.boundary").inc();
                         // Resolved fully inline (not deferred to the
                         // pending pass): a conviction mutates shard state
@@ -1164,7 +1172,10 @@ impl MatchEngine {
                             });
                         }
                     }
-                    InsertOutcome::Collision | InsertOutcome::ReplacedClassified { .. } => {
+                    // Collision, classified displacement, or absorbed by
+                    // admission: the flow cannot be tracked.
+                    None
+                    | Some(InsertOutcome::Collision | InsertOutcome::ReplacedClassified { .. }) => {
                         s.paths.orange += 1;
                         t_orange += 1;
                         scratch.pending.push((r, out.len() as u32));
@@ -1224,7 +1235,7 @@ impl MatchEngine {
                     *dst = src[r as usize];
                 }
             }
-            self.pl_rules.predict_batch(pend_cols, bscratch, hits, wl);
+            self.pl_rules.predict_batch::<PL_DIM>(pend_cols, bscratch, hits, wl);
         }
         let verdicts = [PacketVerdict::Forward, PacketVerdict::Drop];
         for (&(_, pos), hit) in pending.iter().zip(hits.iter()) {
@@ -1259,7 +1270,7 @@ impl MatchEngine {
             }
         }
         let MatchScratch { fl_cols, bscratch, hits, wl, .. } = scratch;
-        self.fl_rules().predict_batch(fl_cols, bscratch, hits, wl);
+        self.fl_rules().predict_batch::<SWITCH_FL_DIM>(fl_cols, bscratch, hits, wl);
         out.extend(hits.iter().map(|h| h.is_none()));
     }
 
@@ -1281,7 +1292,7 @@ pub struct Pipeline {
     cfg: PipelineConfig,
     engine: MatchEngine,
     /// The one (full-size) shard of this serial backend.
-    state: ShardState,
+    pub(crate) state: ShardState,
     scratch: MatchScratch,
     /// Reusable columnar ingest buffers of the batched path.
     batch: PacketBatch,
@@ -1400,10 +1411,17 @@ impl Pipeline {
     pub fn ruleset_index(&self) -> &RangeIndex {
         self.engine.ruleset_index()
     }
-}
 
-impl DataPlane for Pipeline {
-    fn process_batch(&mut self, pkts: &[Packet], out: &mut Vec<ProcessOutcome>) {
+    /// The batched entry point with an explicit admission hook: columnar
+    /// ingest, one walk over the rows in arrival order, then the batch's
+    /// overload tick. [`DataPlane::process_batch`] is this with
+    /// [`AdmitAll`]; the sketch-assisted backend passes its own hook.
+    pub(crate) fn process_batch_with<A: Admission>(
+        &mut self,
+        admission: &mut A,
+        pkts: &[Packet],
+        out: &mut Vec<ProcessOutcome>,
+    ) {
         out.clear();
         if pkts.is_empty() {
             return;
@@ -1424,9 +1442,16 @@ impl DataPlane for Pipeline {
             rows_idx,
             base_seq,
             scratch,
+            admission,
             out,
         );
         update_overload(state, &cfg.overload);
+    }
+}
+
+impl DataPlane for Pipeline {
+    fn process_batch(&mut self, pkts: &[Packet], out: &mut Vec<ProcessOutcome>) {
+        self.process_batch_with(&mut AdmitAll, pkts, out);
     }
 
     fn drain_digests_into(&mut self, out: &mut Vec<Digest>) {

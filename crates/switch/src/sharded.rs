@@ -50,9 +50,9 @@ use iguard_core::error::SwitchError;
 
 use crate::data_plane::DataPlane;
 use crate::pipeline::{
-    record_batch_telemetry, update_overload, ControlAction, Digest, MatchEngine, MatchScratch,
-    PacketVerdict, PathCounters, PathTaken, PipelineConfig, ProcessOutcome, SeqDigest, ShardState,
-    WhitelistCounters, BATCH_CHUNK, RESYNC_SEQ_BASE,
+    record_batch_telemetry, update_overload, AdmitAll, ControlAction, Digest, MatchEngine,
+    MatchScratch, PacketVerdict, PathCounters, PathTaken, PipelineConfig, ProcessOutcome,
+    SeqDigest, ShardState, WhitelistCounters, BATCH_CHUNK, RESYNC_SEQ_BASE,
 };
 use crate::ruleset::{RulesetCounters, RulesetTxn};
 
@@ -328,6 +328,7 @@ impl DataPlane for ShardedPipeline {
                 rows_idx,
                 base_seq,
                 scratch,
+                &mut AdmitAll,
                 out,
             );
             // Hysteresis steps once per batch per *logical* shard — the
@@ -361,6 +362,7 @@ impl DataPlane for ShardedPipeline {
                 bin,
                 base_seq,
                 scratch,
+                &mut AdmitAll,
                 outcomes,
             );
             // Every group steps all of its shards every batch (even shards

@@ -9,9 +9,11 @@
 //! long-lived flow (the ones the FL whitelist can actually classify)
 //! cannot use.
 //!
-//! [`SketchedPipeline`] interposes an **admission layer** on the untracked
-//! path of the flow table (the [`iguard_flow::table::FlowShard`]
-//! resident/admit seam):
+//! [`SketchedPipeline`] is the exact pipeline with a different
+//! [`Admission`] hook on its columnar walk
+//! ([`crate::pipeline::MatchEngine::process_rows`]). The hook sits on the
+//! untracked path of the flow table (the [`FlowShard`] resident/admit
+//! seam):
 //!
 //! * A **Bloom filter** remembers "seen at least once" — the first packet
 //!   of any flow stays in the sketch (implicit estimate 1) and never
@@ -21,9 +23,10 @@
 //!   `promote_threshold` packets within a sketch window is **guaranteed**
 //!   to be promoted into the exact table by that packet — the bounded-FN
 //!   argument of DESIGN.md §12.
-//! * Packets of unpromoted flows are **absorbed**: they get the stateless
-//!   packet-level verdict (the same decision the orange collision path
-//!   makes — the paper's "cannot be tracked" fallback) and are counted in
+//! * Packets of unpromoted flows are **absorbed**: the hook reports them
+//!   back to the walk, which defers their stateless packet-level verdict
+//!   as an orange row (the same decision the collision path makes — the
+//!   paper's "cannot be tracked" fallback). They are counted in
 //!   `switch.sketch.absorbed`.
 //!
 //! Promoted flows claim exact slots, subject to a **resident-byte
@@ -31,18 +34,17 @@
 //! pluggable policy ([`SketchEviction`]: FIFO / LRU / random / 2Q) picks
 //! a victim, whose slot is released (`switch.sketch.evicted`). CMS counts
 //! survive eviction, so an evicted-but-active flow re-promotes on its
-//! next packet.
+//! next packet. The policy's book is indexed by flow-table slot id — the
+//! table reports the slot on every resident hit, claim and clear — so no
+//! book operation hashes a key.
 //!
 //! With `promote_threshold ≤ 1` **and** no budget, the admission layer is
 //! inert and the backend is packet-for-packet identical to [`Pipeline`]
 //! (verdicts, seq-tagged digests, every counter) — pinned by the
 //! `scale_parity` suite.
 
-use std::collections::HashMap;
-
 use iguard_core::error::SwitchError;
 use iguard_core::rules::RuleSet;
-use iguard_flow::features::packet_level_features_array;
 use iguard_flow::five_tuple::FiveTuple;
 use iguard_flow::packet::Packet;
 use iguard_flow::sketch::{BloomFilter, CountMinSketch};
@@ -51,11 +53,10 @@ use iguard_runtime::rng::Rng;
 use iguard_runtime::Dataset;
 use iguard_telemetry::{counter, histogram};
 
-use crate::data_plane::{DataPlane, SketchStats};
+use crate::data_plane::{DataPlane, OverloadStats, SketchStats};
 use crate::pipeline::{
-    record_batch_telemetry, update_overload, ControlAction, Digest, MatchEngine, MatchScratch,
-    PacketVerdict, PathCounters, PathTaken, PipelineConfig, ProcessOutcome, SeqDigest, ShardState,
-    WhitelistCounters, BATCH_CHUNK, RESYNC_SEQ_BASE,
+    Admission, ControlAction, Digest, PathCounters, Pipeline, PipelineConfig, ProcessOutcome,
+    SeqDigest, ShardState, WhitelistCounters,
 };
 use crate::ruleset::{RulesetCounters, RulesetTxn};
 
@@ -133,228 +134,174 @@ iguard_runtime::builder_setters! { SketchedPipelineConfig =>
 
 const NIL: u32 = u32::MAX;
 
-/// Intrusive doubly-linked-list node of the queue-based policies.
+/// [`Node::list`] of a slot the book does not hold.
+const UNBOOKED: u8 = u8::MAX;
+
+/// Intrusive doubly-linked-list node of the queue-based policies, one
+/// per flow-table slot id.
 #[derive(Clone, Copy, Debug)]
 struct Node {
-    key: FiveTuple,
     prev: u32,
     next: u32,
-    /// Which list the node is on: 0 = probation/main queue, 1 = 2Q's
-    /// protected Am queue.
+    /// Which list the slot is on: 0 = probation/main queue, 1 = 2Q's
+    /// protected Am queue, [`UNBOOKED`] = not tracked.
     list: u8,
 }
 
-/// The set of tracked flows plus the policy's victim ordering. `len()` is
+/// The set of tracked flows plus the policy's victim ordering, indexed by
+/// flow-table slot id (a resident flow never changes slot). `len()` is
 /// exactly the number of exact-table residents — kept in lockstep via the
 /// [`SlotClaim`] channel — so budget checks are O(1) and never scan the
-/// tables.
+/// tables, and no operation hashes a key.
 struct EvictionBook {
     policy: SketchEviction,
-    /// Point lookups only — never iterated, so std's seeded hasher cannot
-    /// leak nondeterminism into victim choice.
-    map: HashMap<FiveTuple, u32>,
-    slab: Vec<Node>,
-    free: Vec<u32>,
+    len: usize,
+    /// Queue policies: one node per slot id (empty for Random).
+    nodes: Vec<Node>,
     /// Queue heads/tails, indexed by list id (list 1 used by 2Q only).
     head: [u32; 2],
     tail: [u32; 2],
-    /// Dense key vector of the Random policy (swap-remove victimhood).
-    dense: Vec<FiveTuple>,
+    /// Random policy: the booked slot ids, densely packed
+    /// (swap-remove victimhood), and each slot id's position in `dense`
+    /// (`NIL` = not booked). Both empty for the queue policies.
+    dense: Vec<u32>,
+    pos: Vec<u32>,
     rng: Rng,
 }
 
 impl EvictionBook {
-    fn new(policy: SketchEviction, seed: u64) -> Self {
+    /// A book over `slots` flow-table slot ids.
+    fn new(policy: SketchEviction, slots: usize, seed: u64) -> Self {
+        let random = policy == SketchEviction::Random;
+        let unbooked = Node { prev: NIL, next: NIL, list: UNBOOKED };
         Self {
             policy,
-            map: HashMap::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
+            len: 0,
+            nodes: if random { Vec::new() } else { vec![unbooked; slots] },
             head: [NIL; 2],
             tail: [NIL; 2],
             dense: Vec::new(),
+            pos: if random { vec![NIL; slots] } else { Vec::new() },
             rng: Rng::seed_from_u64(seed),
         }
     }
 
     fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     fn unlink(&mut self, i: u32) {
-        let Node { prev, next, list, .. } = self.slab[i as usize];
+        let Node { prev, next, list } = self.nodes[i as usize];
         match prev {
             NIL => self.head[list as usize] = next,
-            p => self.slab[p as usize].next = next,
+            p => self.nodes[p as usize].next = next,
         }
         match next {
             NIL => self.tail[list as usize] = prev,
-            n => self.slab[n as usize].prev = prev,
+            n => self.nodes[n as usize].prev = prev,
         }
     }
 
     fn push_tail(&mut self, i: u32, list: u8) {
         let t = self.tail[list as usize];
-        self.slab[i as usize].prev = t;
-        self.slab[i as usize].next = NIL;
-        self.slab[i as usize].list = list;
+        self.nodes[i as usize] = Node { prev: t, next: NIL, list };
         match t {
             NIL => self.head[list as usize] = i,
-            t => self.slab[t as usize].next = i,
+            t => self.nodes[t as usize].next = i,
         }
         self.tail[list as usize] = i;
     }
 
-    /// Records a freshly admitted flow.
-    fn insert(&mut self, key: FiveTuple) {
+    /// Records a flow freshly admitted into `slot`.
+    fn insert(&mut self, slot: u32) {
+        self.len += 1;
         if self.policy == SketchEviction::Random {
-            self.map.insert(key, self.dense.len() as u32);
-            self.dense.push(key);
+            self.pos[slot as usize] = self.dense.len() as u32;
+            self.dense.push(slot);
             return;
         }
-        let i = match self.free.pop() {
-            Some(i) => {
-                self.slab[i as usize].key = key;
-                i
-            }
-            None => {
-                self.slab.push(Node { key, prev: NIL, next: NIL, list: 0 });
-                (self.slab.len() - 1) as u32
-            }
+        debug_assert_eq!(self.nodes[slot as usize].list, UNBOOKED, "slot {slot} booked twice");
+        self.push_tail(slot, 0);
+    }
+
+    /// The flow in `slot` was seen again (resident hit).
+    fn touch(&mut self, slot: u32) {
+        let list = match self.policy {
+            SketchEviction::Fifo | SketchEviction::Random => return,
+            SketchEviction::Lru => 0,
+            // Any re-access lands the flow at the protected queue's LRU
+            // tail.
+            SketchEviction::TwoQ => 1,
         };
-        self.map.insert(key, i);
-        self.push_tail(i, 0);
+        self.unlink(slot);
+        self.push_tail(slot, list);
     }
 
-    /// A tracked flow was seen again (resident hit).
-    fn touch(&mut self, key: &FiveTuple) {
-        match self.policy {
-            SketchEviction::Fifo | SketchEviction::Random => {}
-            SketchEviction::Lru => {
-                if let Some(&i) = self.map.get(key) {
-                    self.unlink(i);
-                    self.push_tail(i, 0);
-                }
-            }
-            SketchEviction::TwoQ => {
-                // Any re-access lands the flow at the protected queue's
-                // LRU tail.
-                if let Some(&i) = self.map.get(key) {
-                    self.unlink(i);
-                    self.push_tail(i, 1);
-                }
-            }
-        }
-    }
-
-    /// Forgets a flow (controller clear, or displacement by the table's
-    /// own timeout/classified-evict reclaim). Returns false if unknown.
-    fn remove(&mut self, key: &FiveTuple) -> bool {
-        let Some(i) = self.map.remove(key) else { return false };
+    /// Forgets the flow in `slot` (controller clear, or displacement by
+    /// the table's own timeout/classified-evict reclaim).
+    fn remove(&mut self, slot: u32) {
+        self.len -= 1;
         if self.policy == SketchEviction::Random {
-            let i = i as usize;
+            let i = std::mem::replace(&mut self.pos[slot as usize], NIL) as usize;
             self.dense.swap_remove(i);
-            if i < self.dense.len() {
-                self.map.insert(self.dense[i], i as u32);
+            if let Some(&moved) = self.dense.get(i) {
+                self.pos[moved as usize] = i as u32;
             }
-            return true;
+            return;
         }
-        self.unlink(i);
-        self.free.push(i);
-        true
+        self.unlink(slot);
+        self.nodes[slot as usize].list = UNBOOKED;
     }
 
-    /// Picks and removes the policy's victim.
-    fn pop_victim(&mut self) -> Option<FiveTuple> {
-        if self.policy == SketchEviction::Random {
+    /// Picks and removes the policy's victim, returning its slot id.
+    fn pop_victim(&mut self) -> Option<u32> {
+        let slot = if self.policy == SketchEviction::Random {
             if self.dense.is_empty() {
                 return None;
             }
-            let i = self.rng.gen_range(0..self.dense.len());
-            let key = self.dense[i];
-            self.remove(&key);
-            return Some(key);
-        }
-        // 2Q prefers the probation queue; FIFO/LRU only have list 0.
-        let i = match self.head[0] {
-            NIL => self.head[1],
-            i => i,
+            self.dense[self.rng.gen_range(0..self.dense.len())]
+        } else {
+            // 2Q prefers the probation queue; FIFO/LRU only have list 0.
+            match self.head {
+                [NIL, NIL] => return None,
+                [NIL, h] | [h, _] => h,
+            }
         };
-        if i == NIL {
-            return None;
-        }
-        let key = self.slab[i as usize].key;
-        self.map.remove(&key);
-        self.unlink(i);
-        self.free.push(i);
-        Some(key)
+        self.remove(slot);
+        Some(slot)
     }
 }
 
-/// The sketch-assisted [`DataPlane`] backend — see the module docs.
-pub struct SketchedPipeline {
+/// The sketch-assisted [`Admission`] hook: resident flows pass straight
+/// through (refreshing their place in the eviction book); untracked flows
+/// must get past the Bloom/count–min sketch and the byte budget before
+/// they may claim a slot.
+struct SketchAdmission {
     cfg: SketchedPipelineConfig,
-    engine: MatchEngine,
-    state: ShardState,
-    scratch: MatchScratch,
+    window_left: u64,
+    max_tracked: usize,
     cms: CountMinSketch,
     bloom: BloomFilter,
     book: EvictionBook,
-    max_tracked: usize,
-    window_left: u64,
-    tallies: ObserveTallies,
     promoted: u64,
     absorbed: u64,
     evicted: u64,
-    resync_seq: u64,
 }
 
-impl SketchedPipeline {
-    pub fn new(cfg: SketchedPipelineConfig, fl_rules: RuleSet, pl_rules: RuleSet) -> Self {
-        assert!(cfg.window_packets >= 1, "sketch window must be at least one packet");
-        let max_tracked =
-            cfg.budget_bytes.map(|b| (b / FlowShard::slot_bytes()).max(1)).unwrap_or(usize::MAX);
-        Self {
-            engine: MatchEngine::new(&cfg.pipeline, fl_rules, pl_rules),
-            state: ShardState::new(cfg.pipeline.flow_table),
-            scratch: MatchScratch::default(),
-            cms: CountMinSketch::new(cfg.cms_width, cfg.cms_depth, cfg.seed),
-            bloom: BloomFilter::new(cfg.bloom_bits, cfg.bloom_hashes, cfg.seed ^ 0x9E37_79B9),
-            book: EvictionBook::new(cfg.eviction, cfg.seed.wrapping_add(1)),
-            max_tracked,
-            window_left: cfg.window_packets,
-            tallies: ObserveTallies::default(),
-            promoted: 0,
-            absorbed: 0,
-            evicted: 0,
-            resync_seq: 0,
-            cfg,
-        }
-    }
-
-    pub fn config(&self) -> &SketchedPipelineConfig {
-        &self.cfg
-    }
-
-    /// Flows currently holding an exact slot.
-    pub fn tracked(&self) -> usize {
-        self.book.len()
-    }
-
+impl SketchAdmission {
     /// Promotion bar after pressure-adaptive tightening: the base
     /// threshold doubles once the flow table crosses the degraded-enter
     /// pressure and quadruples near saturation (≥ 900‰), demanding more
     /// repeat evidence per exact slot exactly when slots are scarcest.
     /// Inert in exact-parity mode (base ≤ 1 never consults the sketch).
-    fn effective_promote_threshold(&self) -> u32 {
+    fn effective_promote_threshold(&self, pressure_milli: u32) -> u32 {
         let base = self.cfg.promote_threshold;
         if base <= 1 {
             return base;
         }
-        let p = self.state.flow.pressure_milli();
-        let mult = if p >= 900 {
+        let mult = if pressure_milli >= 900 {
             4
-        } else if p >= self.cfg.pipeline.overload.degrade_enter_milli {
+        } else if pressure_milli >= self.cfg.pipeline.overload.degrade_enter_milli {
             2
         } else {
             1
@@ -364,7 +311,7 @@ impl SketchedPipeline {
 
     /// One sketch observation of an untracked flow: returns true when the
     /// flow's (over-)estimated packet count reaches the promotion bar.
-    fn sketch_admit(&mut self, key: &FiveTuple) -> bool {
+    fn sketch_admit(&mut self, key: &FiveTuple, state: &mut ShardState) -> bool {
         if self.window_left == 0 {
             self.cms.clear();
             self.bloom.clear();
@@ -376,318 +323,210 @@ impl SketchedPipeline {
         // First sighting is the implicit estimate 1; repeats go through
         // the CMS (whose count starts at the *second* packet, hence +1).
         let est = if seen { self.cms.increment(key).saturating_add(1) } else { 1 };
-        let eff = self.effective_promote_threshold();
+        let eff = self.effective_promote_threshold(state.flow.pressure_milli());
         if est >= self.cfg.promote_threshold && est < eff {
             // Would have been admitted at the calm threshold — rejected
             // only because pressure raised the bar.
-            self.state.overload.admission_tightened += 1;
+            state.overload.admission_tightened += 1;
             counter!("switch.overload.admission_tightened").inc();
         }
         est >= eff
     }
+}
 
-    /// The scalar sketch-assisted walk: identical to
-    /// [`MatchEngine::process_one`] except that an untracked flow must get
-    /// past the admission sketch (and the byte budget) before it can claim
-    /// an exact slot.
-    fn process_one_sketched(&mut self, pkt: &Packet, seq: u64) -> ProcessOutcome {
-        self.state.processed += 1;
-        let key = pkt.five.canonical();
-
-        // Red path: blacklist match.
-        if self.state.blacklist.contains(&key) {
-            self.state.paths.blacklist += 1;
-            counter!("switch.pipeline.path.blacklist").inc();
-            return ProcessOutcome {
-                verdict: PacketVerdict::Drop,
-                path: PathTaken::Blacklist,
-                mirrored: false,
-            };
+impl Admission for SketchAdmission {
+    fn observe(
+        &mut self,
+        state: &mut ShardState,
+        key: FiveTuple,
+        i1: u32,
+        i2: u32,
+        pkt: &Packet,
+        tallies: &mut ObserveTallies,
+    ) -> Option<InsertOutcome> {
+        if let Some((out, slot)) =
+            state.flow.observe_resident_prehashed(key, i1, i2, pkt, pkt.ts_ns, tallies)
+        {
+            self.book.touch(slot);
+            return Some(out);
         }
+        if self.cfg.promote_threshold > 1 {
+            if !self.sketch_admit(&key, state) {
+                // Absorbed: the sketch holds the flow's only state.
+                self.absorbed += 1;
+                return None;
+            }
+            self.promoted += 1;
+        }
+        let flow = &mut state.flow;
+        // Budget: make room *before* claiming, so the tracked set never
+        // exceeds the cap even transiently.
+        while self.book.len() >= self.max_tracked {
+            let Some(victim) = self.book.pop_victim() else { break };
+            let released = flow.evict_slot(victim);
+            debug_assert!(released, "eviction book out of sync with table");
+            self.evicted += 1;
+        }
+        let (out, claim) = flow.admit_prehashed(key, i1, i2, pkt, pkt.ts_ns, tallies);
+        match claim {
+            SlotClaim::Fresh(slot) => self.book.insert(slot),
+            SlotClaim::Displaced(slot) => {
+                self.book.remove(slot);
+                self.book.insert(slot);
+            }
+            SlotClaim::Unclaimed => {}
+        }
+        Some(out)
+    }
+}
 
-        let pl = packet_level_features_array(pkt);
-        let (i1, i2) = self.state.flow.slot_index_pair(&key);
-        let resident = self.state.flow.observe_resident_prehashed(
-            key,
-            i1,
-            i2,
-            pkt,
-            pkt.ts_ns,
-            &mut self.tallies,
-        );
-        let outcome = match resident {
-            Some(out) => {
-                self.book.touch(&key);
-                out
-            }
-            None => {
-                let admit = self.cfg.promote_threshold <= 1 || self.sketch_admit(&key);
-                if !admit {
-                    // Absorbed: the sketch holds the flow's only state, so
-                    // the packet gets the stateless PL-only decision — the
-                    // same "cannot track" fallback as the collision path.
-                    self.absorbed += 1;
-                    counter!("switch.sketch.absorbed").inc();
-                    self.state.paths.orange += 1;
-                    counter!("switch.pipeline.path.orange").inc();
-                    let malicious = self.engine.predict_pl(&pl, &mut self.scratch);
-                    return ProcessOutcome {
-                        verdict: self.engine.verdict_for(malicious),
-                        path: PathTaken::Orange,
-                        mirrored: false,
-                    };
-                }
-                if self.cfg.promote_threshold > 1 {
-                    self.promoted += 1;
-                    counter!("switch.sketch.promoted").inc();
-                }
-                // Budget: make room *before* claiming, so the tracked set
-                // never exceeds the cap even transiently.
-                while self.book.len() >= self.max_tracked {
-                    match self.book.pop_victim() {
-                        Some(victim) => {
-                            let released = self.state.flow.evict(&victim);
-                            debug_assert!(released, "eviction book out of sync with table");
-                            self.evicted += 1;
-                            counter!("switch.sketch.evicted").inc();
-                        }
-                        None => break,
-                    }
-                }
-                let (out, claim) =
-                    self.state.flow.admit_prehashed(key, i1, i2, pkt, pkt.ts_ns, &mut self.tallies);
-                match claim {
-                    SlotClaim::Fresh => self.book.insert(key),
-                    SlotClaim::Displaced(old) => {
-                        self.book.remove(&old);
-                        self.book.insert(key);
-                    }
-                    SlotClaim::Unclaimed => {}
-                }
-                out
-            }
+/// The sketch-assisted [`DataPlane`] backend — see the module docs. An
+/// exact [`Pipeline`] driven through the [`SketchAdmission`] hook.
+pub struct SketchedPipeline {
+    inner: Pipeline,
+    admission: SketchAdmission,
+}
+
+impl SketchedPipeline {
+    pub fn new(cfg: SketchedPipelineConfig, fl_rules: RuleSet, pl_rules: RuleSet) -> Self {
+        assert!(cfg.window_packets >= 1, "sketch window must be at least one packet");
+        let max_tracked =
+            cfg.budget_bytes.map(|b| (b / FlowShard::slot_bytes()).max(1)).unwrap_or(usize::MAX);
+        let inner = Pipeline::new(cfg.pipeline, fl_rules, pl_rules);
+        let slots = inner.flow_table().capacity();
+        let admission = SketchAdmission {
+            window_left: cfg.window_packets,
+            max_tracked,
+            cms: CountMinSketch::new(cfg.cms_width, cfg.cms_depth, cfg.seed),
+            bloom: BloomFilter::new(cfg.bloom_bits, cfg.bloom_hashes, cfg.seed ^ 0x9E37_79B9),
+            book: EvictionBook::new(cfg.eviction, slots, cfg.seed.wrapping_add(1)),
+            promoted: 0,
+            absorbed: 0,
+            evicted: 0,
+            cfg,
         };
+        Self { inner, admission }
+    }
 
-        match outcome {
-            InsertOutcome::Classified { label } => {
-                self.state.paths.purple += 1;
-                counter!("switch.pipeline.path.purple").inc();
-                ProcessOutcome {
-                    verdict: self.engine.verdict_for(label),
-                    path: PathTaken::Purple,
-                    mirrored: false,
-                }
-            }
-            InsertOutcome::Early { .. } => {
-                self.state.paths.brown += 1;
-                counter!("switch.pipeline.path.brown").inc();
-                let malicious = self.engine.predict_pl(&pl, &mut self.scratch);
-                ProcessOutcome {
-                    verdict: self.engine.verdict_for(malicious),
-                    path: PathTaken::Brown,
-                    mirrored: false,
-                }
-            }
-            InsertOutcome::Ready { stats, timed_out: _ } => {
-                self.state.paths.blue += 1;
-                counter!("switch.pipeline.path.blue").inc();
-                let malicious = self.engine.predict_blue(&stats, &pl, &mut self.scratch);
-                let ShardState { overload, digests, .. } = &mut self.state;
-                overload.push_digest(
-                    digests,
-                    SeqDigest { seq, digest: Digest::new(pkt.five, malicious) },
-                    &self.cfg.pipeline.overload,
-                );
-                self.state.paths.green_loopback += 1;
-                counter!("switch.pipeline.path.green_loopback").inc();
-                self.state.flow.set_label(&pkt.five, malicious);
-                ProcessOutcome {
-                    verdict: self.engine.verdict_for(malicious),
-                    path: PathTaken::Blue,
-                    mirrored: true,
-                }
-            }
-            InsertOutcome::PhaseReady { stats, phase } => {
-                counter!("switch.phase.boundary").inc();
-                // Convict-only early look, same semantics as the exact
-                // pipeline: a phase-whitelist hit pulls the blue verdict
-                // forward; a benign-looking flow escalates like brown.
-                let convicted = self.engine.predict_phase(phase, &stats, &mut self.scratch);
-                if convicted {
-                    counter!("switch.phase.convicted").inc();
-                    self.state.paths.blue += 1;
-                    counter!("switch.pipeline.path.blue").inc();
-                    let ShardState { overload, digests, .. } = &mut self.state;
-                    overload.push_digest(
-                        digests,
-                        SeqDigest { seq, digest: Digest::at_phase(pkt.five, true, phase) },
-                        &self.cfg.pipeline.overload,
-                    );
-                    self.state.paths.green_loopback += 1;
-                    counter!("switch.pipeline.path.green_loopback").inc();
-                    self.state.flow.set_label(&pkt.five, true);
-                    ProcessOutcome {
-                        verdict: self.engine.verdict_for(true),
-                        path: PathTaken::Blue,
-                        mirrored: true,
-                    }
-                } else {
-                    counter!("switch.phase.escalated").inc();
-                    self.state.paths.brown += 1;
-                    counter!("switch.pipeline.path.brown").inc();
-                    let malicious = self.engine.predict_pl(&pl, &mut self.scratch);
-                    ProcessOutcome {
-                        verdict: self.engine.verdict_for(malicious),
-                        path: PathTaken::Brown,
-                        mirrored: false,
-                    }
-                }
-            }
-            InsertOutcome::Collision | InsertOutcome::ReplacedClassified { .. } => {
-                self.state.paths.orange += 1;
-                counter!("switch.pipeline.path.orange").inc();
-                let malicious = self.engine.predict_pl(&pl, &mut self.scratch);
-                ProcessOutcome {
-                    verdict: self.engine.verdict_for(malicious),
-                    path: PathTaken::Orange,
-                    mirrored: false,
-                }
-            }
-        }
+    pub fn config(&self) -> &SketchedPipelineConfig {
+        &self.admission.cfg
+    }
+
+    /// Flows currently holding an exact slot.
+    pub fn tracked(&self) -> usize {
+        self.admission.book.len()
     }
 
     /// Installs one whitelist per intermediate phase boundary via the
-    /// engine's hitless epoch flip (see [`MatchEngine::set_phase_rulesets`]).
+    /// engine's hitless epoch flip (see [`Pipeline::set_phase_rulesets`]).
     pub fn set_phase_rulesets(&mut self, rulesets: &[RuleSet]) {
-        self.engine.set_phase_rulesets(rulesets);
+        self.inner.set_phase_rulesets(rulesets);
     }
 }
 
 impl DataPlane for SketchedPipeline {
     fn process_batch(&mut self, pkts: &[Packet], out: &mut Vec<ProcessOutcome>) {
-        out.clear();
+        let a = &mut self.admission;
+        let before = (a.promoted, a.absorbed, a.evicted);
+        self.inner.process_batch_with(a, pkts, out);
         if pkts.is_empty() {
             return;
         }
-        record_batch_telemetry(pkts.len());
-        out.reserve(pkts.len());
-        let base_seq = self.state.processed;
-        for (i, p) in pkts.iter().enumerate() {
-            let o = self.process_one_sketched(p, base_seq + i as u64);
-            out.push(o);
-        }
-        self.tallies.flush();
-        let ocfg = self.cfg.pipeline.overload;
-        update_overload(&mut self.state, &ocfg);
-        let tracked = self.book.len();
+        // Event counters advance once per batch by their deltas.
+        let flush = |n: u64, c: &'static iguard_telemetry::Counter| {
+            if n > 0 {
+                c.add(n);
+            }
+        };
+        flush(a.promoted - before.0, counter!("switch.sketch.promoted"));
+        flush(a.absorbed - before.1, counter!("switch.sketch.absorbed"));
+        flush(a.evicted - before.2, counter!("switch.sketch.evicted"));
+        let tracked = a.book.len();
         histogram!("switch.sketch.occupancy").record(tracked as u64);
         if tracked > 0 {
-            let bytes = tracked * FlowShard::slot_bytes() + self.cms.bytes() + self.bloom.bytes();
+            let bytes = tracked * FlowShard::slot_bytes() + a.cms.bytes() + a.bloom.bytes();
             histogram!("switch.sketch.bytes_per_flow").record((bytes / tracked) as u64);
         }
     }
 
     fn drain_digests_into(&mut self, out: &mut Vec<Digest>) {
-        out.extend(self.state.digests.drain(..).map(|sd| sd.digest));
+        self.inner.drain_digests_into(out);
     }
 
     fn drain_seq_digests_into(&mut self, out: &mut Vec<SeqDigest>) {
-        out.append(&mut self.state.digests);
+        self.inner.drain_seq_digests_into(out);
     }
 
     fn apply(&mut self, action: ControlAction) {
         match action {
-            ControlAction::InstallBlacklist(five) => {
-                self.state.blacklist.insert(five.canonical());
-            }
-            ControlAction::RemoveBlacklist(five) => {
-                self.state.blacklist.remove(&five.canonical());
-            }
             ControlAction::ClearFlow(five) => {
-                if self.state.flow.clear(&five) {
-                    self.book.remove(&five.canonical());
+                if let Some(slot) = self.inner.state.flow.clear(&five) {
+                    self.admission.book.remove(slot);
                 }
             }
+            other => self.inner.apply(other),
         }
     }
 
     fn apply_ruleset(&mut self, txn: &RulesetTxn) -> Result<(), SwitchError> {
-        self.engine.apply_ruleset(txn)
+        self.inner.apply_ruleset(txn)
     }
 
     fn ruleset_version(&self) -> u64 {
-        self.engine.ruleset_version()
+        self.inner.ruleset_version()
     }
 
     fn ruleset_counters(&self) -> RulesetCounters {
-        self.engine.ruleset_counters()
+        self.inner.ruleset_counters()
     }
 
     fn blacklist_contents(&self) -> Vec<FiveTuple> {
-        let mut v: Vec<FiveTuple> = self.state.blacklist.iter().copied().collect();
-        v.sort_unstable();
-        v
+        self.inner.blacklist_contents()
     }
 
     fn resync_labeled_into(&mut self, out: &mut Vec<SeqDigest>) {
-        let mut flows = Vec::new();
-        self.state.flow.labeled_flows_into(&mut flows);
-        for (five, malicious) in flows {
-            out.push(SeqDigest {
-                seq: RESYNC_SEQ_BASE + self.resync_seq,
-                digest: Digest::new(five, malicious),
-            });
-            self.resync_seq += 1;
-        }
+        self.inner.resync_labeled_into(out);
     }
 
     fn counters(&self) -> PathCounters {
-        self.state.paths
+        self.inner.paths()
     }
 
     fn whitelist_counters(&self) -> WhitelistCounters {
-        self.scratch.wl
+        self.inner.whitelist_counters()
     }
 
     fn classify_batch(&mut self, rows: &Dataset, out: &mut Vec<bool>) {
-        out.clear();
-        if rows.rows() == 0 {
-            return;
-        }
-        record_batch_telemetry(rows.rows());
-        out.reserve(rows.rows());
-        for start in (0..rows.rows()).step_by(BATCH_CHUNK) {
-            let end = (start + BATCH_CHUNK).min(rows.rows());
-            self.engine.classify_fl_batch(rows, start, end, &mut self.scratch, out);
-        }
+        self.inner.classify_batch(rows, out);
     }
 
     fn flow_table_stats(&self) -> FlowTableStats {
-        self.state.flow.stats()
+        self.inner.flow_table_stats()
     }
 
     fn blacklist_len(&self) -> usize {
-        self.state.blacklist.len()
+        self.inner.blacklist_len()
     }
 
     fn packets_processed(&self) -> u64 {
-        self.state.processed
+        self.inner.packets_processed()
     }
 
-    fn overload_stats(&self) -> crate::data_plane::OverloadStats {
-        self.state.overload_view()
+    fn overload_stats(&self) -> OverloadStats {
+        self.inner.overload_stats()
     }
 
     fn sketch_stats(&self) -> Option<SketchStats> {
+        let a = &self.admission;
         Some(SketchStats {
-            tracked: self.book.len(),
-            max_tracked: self.max_tracked,
-            resident_bytes: self.book.len() * FlowShard::slot_bytes(),
-            budget_bytes: self.cfg.budget_bytes,
-            sketch_bytes: self.cms.bytes() + self.bloom.bytes(),
-            promoted: self.promoted,
-            absorbed: self.absorbed,
-            evicted: self.evicted,
+            tracked: a.book.len(),
+            max_tracked: a.max_tracked,
+            resident_bytes: a.book.len() * FlowShard::slot_bytes(),
+            budget_bytes: a.cfg.budget_bytes,
+            sketch_bytes: a.cms.bytes() + a.bloom.bytes(),
+            promoted: a.promoted,
+            absorbed: a.absorbed,
+            evicted: a.evicted,
         })
     }
 }
@@ -696,8 +535,29 @@ impl DataPlane for SketchedPipeline {
 mod tests {
     use super::*;
     use crate::pipeline::testutil::accept_all;
+    use crate::pipeline::PathTaken;
     use iguard_flow::five_tuple::PROTO_UDP;
     use iguard_flow::packet::TcpFlags;
+    use iguard_flow::table::FlowTableConfig;
+
+    impl EvictionBook {
+        /// Every booked slot id: the dense vector, or both queues walked
+        /// head to tail.
+        fn slots(&self) -> Vec<u32> {
+            if self.policy == SketchEviction::Random {
+                return self.dense.clone();
+            }
+            let mut out = Vec::new();
+            for list in 0..2 {
+                let mut i = self.head[list];
+                while i != NIL {
+                    out.push(i);
+                    i = self.nodes[i as usize].next;
+                }
+            }
+            out
+        }
+    }
 
     fn pkt(flow: u16, ts_ms: u64) -> Packet {
         Packet {
@@ -772,11 +632,11 @@ mod tests {
         let fifo = drive(SketchEviction::Fifo);
         let lru = drive(SketchEviction::Lru);
         // FIFO victim = flow 0 (oldest admit); its key is gone.
-        assert!(!fifo.state.flow.label_of(&pkt(0, 0).five.canonical()).is_some());
-        assert!(fifo.state.flow.label_of(&pkt(1, 0).five.canonical()).is_some());
+        assert!(!fifo.inner.flow_table().label_of(&pkt(0, 0).five.canonical()).is_some());
+        assert!(fifo.inner.flow_table().label_of(&pkt(1, 0).five.canonical()).is_some());
         // LRU victim = flow 1 (flow 0 was refreshed).
-        assert!(lru.state.flow.label_of(&pkt(0, 0).five.canonical()).is_some());
-        assert!(!lru.state.flow.label_of(&pkt(1, 0).five.canonical()).is_some());
+        assert!(lru.inner.flow_table().label_of(&pkt(0, 0).five.canonical()).is_some());
+        assert!(!lru.inner.flow_table().label_of(&pkt(1, 0).five.canonical()).is_some());
     }
 
     #[test]
@@ -791,9 +651,9 @@ mod tests {
         for f in [3u16, 4] {
             dp.process_batch(&[pkt(f, 2)], &mut out);
         }
-        assert!(dp.state.flow.label_of(&pkt(0, 0).five.canonical()).is_some());
-        assert!(!dp.state.flow.label_of(&pkt(1, 0).five.canonical()).is_some());
-        assert!(!dp.state.flow.label_of(&pkt(2, 0).five.canonical()).is_some());
+        assert!(dp.inner.flow_table().label_of(&pkt(0, 0).five.canonical()).is_some());
+        assert!(!dp.inner.flow_table().label_of(&pkt(1, 0).five.canonical()).is_some());
+        assert!(!dp.inner.flow_table().label_of(&pkt(2, 0).five.canonical()).is_some());
     }
 
     #[test]
@@ -808,11 +668,100 @@ mod tests {
             for f in 0..200u16 {
                 dp.process_batch(&[pkt(f, f as u64)], &mut out);
             }
-            let mut keys: Vec<FiveTuple> = dp.book.dense.clone();
-            keys.sort_unstable();
-            keys
+            let mut slots = dp.admission.book.dense.clone();
+            slots.sort_unstable();
+            slots
         };
         assert_eq!(run(1), run(1), "same seed must evict the same victims");
         assert_ne!(run(1), run(2), "different seeds should diverge");
+    }
+
+    /// One step of a scripted run: a packet of `flow` after `gap_ms`, a
+    /// controller clear of `flow`, or the end of a batch.
+    #[derive(Clone, Copy)]
+    enum Step {
+        Packet { flow: u16, gap_ms: u64 },
+        Clear(u16),
+        EndBatch,
+    }
+
+    /// The book holds exactly the table's residents: as many nodes as
+    /// resident slots, each on a distinct slot that holds a flow, and
+    /// never more than the budget.
+    fn assert_book_in_lockstep(dp: &SketchedPipeline, policy: SketchEviction) {
+        let table = dp.inner.flow_table();
+        let book = &dp.admission.book;
+        let slots = book.slots();
+        assert_eq!(book.len(), slots.len(), "{policy:?}: book length drifted from its lists");
+        assert_eq!(book.len(), table.occupancy(), "{policy:?}: book and table residents differ");
+        let mut seen = vec![false; table.capacity()];
+        for &s in &slots {
+            assert!(!std::mem::replace(&mut seen[s as usize], true), "{policy:?}: slot {s} twice");
+            assert!(table.slot_is_resident(s), "{policy:?}: booked slot {s} is empty");
+        }
+        let st = dp.sketch_stats().unwrap();
+        assert!(st.tracked <= st.max_tracked, "{policy:?}: over the flow cap");
+        assert!(st.resident_bytes <= st.budget_bytes.unwrap(), "{policy:?}: over the byte budget");
+    }
+
+    iguard_runtime::proptest_lite! {
+        /// The slot-indexed eviction book stays in lockstep with the flow
+        /// table through every event that changes residency — sketch
+        /// admissions, resident hits, controller clears, idle-timeout
+        /// restarts, and displacement of timed-out or classified
+        /// residents (`ReplacedClassified`) — under every policy. A tiny
+        /// table, a short timeout and a packet threshold of 2–3 make all
+        /// of them common; budgets range from one flow to above the
+        /// table's capacity, so both budget eviction and the table's own
+        /// displacement get exercised.
+        fn eviction_book_tracks_table_residents(rng, cases = 24) {
+            let slots_per_table = rng.gen_range(2usize..8);
+            let ft = FlowTableConfig::default()
+                .with_slots_per_table(slots_per_table)
+                .with_pkt_threshold(rng.gen_range(2u64..4))
+                .with_timeout_ns(50_000_000);
+            let budget = rng.gen_range(1usize..2 * slots_per_table + 3);
+            let promote = rng.gen_range(1u32..4);
+            let flows = rng.gen_range(4u16..40);
+            let script: Vec<Step> = (0..400)
+                .map(|_| match rng.gen_range(0u32..100) {
+                    0..=5 => Step::Clear(rng.gen_range(0..flows)),
+                    6..=11 => Step::EndBatch,
+                    _ => Step::Packet {
+                        flow: rng.gen_range(0..flows),
+                        gap_ms: if rng.gen_bool(0.05) { 100 } else { rng.gen_range(0u64..3) },
+                    },
+                })
+                .chain([Step::EndBatch])
+                .collect();
+            for policy in
+                [SketchEviction::Fifo, SketchEviction::Lru, SketchEviction::Random, SketchEviction::TwoQ]
+            {
+                let cfg = SketchedPipelineConfig::default()
+                    .with_pipeline(PipelineConfig::from(ft))
+                    .with_budget_bytes(Some(budget * FlowShard::slot_bytes()))
+                    .with_promote_threshold(promote)
+                    .with_eviction(policy);
+                let mut dp = SketchedPipeline::new(cfg, accept_all(13), accept_all(4));
+                let (mut ts_ms, mut batch, mut out) = (0u64, Vec::new(), Vec::new());
+                for &step in &script {
+                    match step {
+                        Step::Packet { flow, gap_ms } => {
+                            ts_ms += gap_ms;
+                            batch.push(pkt(flow, ts_ms));
+                        }
+                        Step::Clear(flow) => {
+                            dp.process_batch(&std::mem::take(&mut batch), &mut out);
+                            dp.apply(ControlAction::ClearFlow(pkt(flow, 0).five));
+                            assert_book_in_lockstep(&dp, policy);
+                        }
+                        Step::EndBatch => {
+                            dp.process_batch(&std::mem::take(&mut batch), &mut out);
+                            assert_book_in_lockstep(&dp, policy);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -14,73 +14,28 @@ cargo fmt --all -- --check
 echo "== tier-1: cargo build --release --offline (warnings are errors) =="
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace --all-targets
 
+# Every test suite runs at both worker extremes. That includes the
+# switch gates: shard invariance, chaos (fixed fault seeds 11 and 47),
+# controller idempotence, TCAM/float parity, SoA parity, scale parity
+# (sketched vs exact, budget cap, pinned budgeted fingerprints), ruleset
+# swap, overload and phase parity (DESIGN.md secs. 12-16).
 echo "== tier-1: cargo test -q --offline (IGUARD_WORKERS=1) =="
 IGUARD_WORKERS=1 cargo test -q --offline --workspace
 
 echo "== cargo test -q --offline (IGUARD_WORKERS=8) =="
 IGUARD_WORKERS=8 cargo test -q --offline --workspace
 
-echo "== shard invariance suite (explicit) =="
-cargo test -q --offline -p iguard-switch --test shard_invariance
-
-echo "== chaos gate: fault-injected control loop (fixed seeds, workers 1 and 8) =="
-# The chaos suite bakes in two fixed fault seeds (CHAOS_SEEDS = [11, 47])
-# and asserts convergence + byte-identical fingerprints across shard and
-# worker counts; running it at both worker extremes is the gate.
-IGUARD_WORKERS=1 cargo test -q --offline -p iguard-switch --test chaos
-IGUARD_WORKERS=8 cargo test -q --offline -p iguard-switch --test chaos
-IGUARD_WORKERS=8 cargo test -q --offline -p iguard-switch --test controller_idempotence
-
-echo "== TCAM/float parity gate: exhaustive grid sweeps (workers 1 and 8) =="
-# Four lookup paths (float linear, float index, TCAM linear, TCAM index)
-# pinned to one truth table over every representable key of small grids,
-# including sub-quantum and infinite-bound cubes.
-IGUARD_WORKERS=1 cargo test -q --offline -p iguard-switch --test tcam_parity
-IGUARD_WORKERS=8 cargo test -q --offline -p iguard-switch --test tcam_parity
-
-echo "== SoA parity gate: columnar batch path vs scalar oracle (workers 1 and 8) =="
-# The batch pipeline must produce byte-identical verdicts, digests, and
-# counters to the per-packet scalar walk at every batch size and split.
-IGUARD_WORKERS=1 cargo test -q --offline -p iguard-switch --test soa_parity
-IGUARD_WORKERS=8 cargo test -q --offline -p iguard-switch --test soa_parity
-
-echo "== scale parity gate: sketched admission vs exact pipeline (workers 1 and 8) =="
-# Unbudgeted SketchedPipeline must fingerprint-match Pipeline; budgeted
-# runs must hold the resident-byte cap and stay within the shed-work
-# FP/FN bound (DESIGN.md sec. 12).
-IGUARD_WORKERS=1 cargo test -q --offline -p iguard-switch --test scale_parity
-IGUARD_WORKERS=8 cargo test -q --offline -p iguard-switch --test scale_parity
-
-echo "== ruleset swap gate: rule-diff engine + hitless versioned swap (workers 1 and 8) =="
-# Diff/apply round-trips, mid-swap verdict membership (every packet sees
-# exactly one complete ruleset), scripted-swap convergence under the PR-4
-# fault plans, and byte-identical fingerprints across shard x worker
-# combinations (DESIGN.md sec. 13).
-IGUARD_WORKERS=1 cargo test -q --offline -p iguard-switch --test ruleset_swap
-IGUARD_WORKERS=8 cargo test -q --offline -p iguard-switch --test ruleset_swap
-
-echo "== overload gate: state-exhaustion canon + timeout rebirth (workers 1 and 8) =="
-# Idle-timeout boundary properties, grid-invariant overload fingerprints
-# under the adversarial scenario canon, and the degraded-mode
-# enter/shed/exit cycle with full recovery (DESIGN.md sec. 15).
-IGUARD_WORKERS=1 cargo test -q --offline -p iguard-switch --test overload
-IGUARD_WORKERS=8 cargo test -q --offline -p iguard-switch --test overload
-
-echo "== phase parity gate: early verdicts across the grid (workers 1 and 8) =="
-# Phase fingerprints byte-identical across shard x worker combinations
-# for every phase configuration, a ruleset-free schedule bit-identical
-# to single-shot, and scalar/columnar/sharded/sketched backends in
-# packet-for-packet agreement with phases live (DESIGN.md sec. 16).
-IGUARD_WORKERS=1 cargo test -q --offline -p iguard-switch --test phase_parity
-IGUARD_WORKERS=8 cargo test -q --offline -p iguard-switch --test phase_parity
-
 echo "== bench reporter smoke run (shard + chaos + rule-index + sketch + swap + overload sweeps) =="
-smoke_out="$(mktemp /tmp/bench_smoke.XXXXXX.json)"
-smoke7_out="$(mktemp /tmp/bench_smoke_pr7.XXXXXX.json)"
-smoke8_out="$(mktemp /tmp/bench_smoke_pr8.XXXXXX.json)"
-smoke9_out="$(mktemp /tmp/bench_smoke_pr9.XXXXXX.json)"
-smoke10_out="$(mktemp /tmp/bench_smoke_pr10.XXXXXX.json)"
-trap 'rm -f "$smoke_out" "$smoke7_out" "$smoke8_out" "$smoke9_out" "$smoke10_out"' EXIT
+smoke_dir="$(mktemp -d /tmp/bench_smoke.XXXXXX)"
+trap 'rm -rf "$smoke_dir"' EXIT
+# Only --out is passed: the four sibling documents must follow it into the
+# temp dir (smoke.pr7.json ... smoke.pr10.json), never onto the committed
+# BENCH_PR*.json files — the git diff below proves it.
+smoke_out="$smoke_dir/smoke.json"
+smoke7_out="$smoke_dir/smoke.pr7.json"
+smoke8_out="$smoke_dir/smoke.pr8.json"
+smoke9_out="$smoke_dir/smoke.pr9.json"
+smoke10_out="$smoke_dir/smoke.pr10.json"
 # bench_report itself hard-fails on indexed-vs-linear verdict divergence,
 # on a sub-2x index speedup at >=256 rules, on sketched/exact fingerprint
 # divergence, on a budget overrun, on a per-batch steady-state
@@ -89,8 +44,9 @@ trap 'rm -f "$smoke_out" "$smoke7_out" "$smoke8_out" "$smoke9_out" "$smoke10_out
 # admission seam, golden matrix). IGUARD_PR7_FLOWS shrinks the 1M-flow
 # streaming sweep for CI.
 IGUARD_PR7_FLOWS=8000 cargo run -q --release --offline -p iguard-bench --bin bench_report -- \
-    --smoke --out "$smoke_out" --out-pr7 "$smoke7_out" --out-pr8 "$smoke8_out" \
-    --out-pr9 "$smoke9_out" --out-pr10 "$smoke10_out"
+    --smoke --out "$smoke_out"
+git diff --exit-code -- 'BENCH_PR*.json' \
+    || { echo "bench_report smoke run overwrote committed BENCH_PR*.json"; exit 1; }
 test -s "$smoke_out" || { echo "bench_report wrote an empty report"; exit 1; }
 grep -q '"schema": "iguard-bench-pr6"' "$smoke_out" \
     || { echo "bench_report schema marker missing"; exit 1; }
