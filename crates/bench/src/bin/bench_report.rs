@@ -1,62 +1,37 @@
-//! The PR-6 bench reporter: runs the deployment pipeline end-to-end under
-//! telemetry and writes a machine-readable `BENCH_PR6.json` — per-stage
-//! wall-clock timings, rule counts, TCAM occupancy, flow-table pressure,
-//! switch path counts, a shard sweep of the [`ShardedPipeline`] backend
-//! (1/2/4/8 physical shards vs the serial `Pipeline`), a chaos sweep of
-//! the fault-injected control loop (detection quality vs channel drop
-//! rate, retry counts, recovery latency after a scripted outage), a
-//! rule-index sweep (compiled first-match index vs linear scan, float and
-//! TCAM paths, at 64/256/1024 rules), a replay-trace verdict-parity
-//! check, an SoA replay comparison (columnar `Pipeline` vs per-packet
-//! `ScalarPipeline` at one worker), and the full verified telemetry
-//! snapshot.
+//! The bench reporter: runs the deployment pipeline end to end under
+//! telemetry and writes one machine-readable document, `BENCH.json`
+//! (`schema: "iguard-bench"`, version 2).
 //!
-//! Three hard gates guard the hot-path claims: the indexed lookup must
-//! return the *identical* verdict as the linear scan on every sampled key
-//! (the run aborts on the first divergence), the indexed path must be
-//! at least 2× faster than the linear scan at ≥256 rules, and the
-//! columnar replay path must match the scalar oracle byte-for-byte while
-//! being at least 2× faster in packets/sec at a single worker.
+//! Sections are named for what they measure: per-stage wall-clock
+//! (`stages`), rule and TCAM sizes (`rules`, `tcam`), flow-table pressure
+//! (`flow_table`), the benign + flood replay (`replay`), the
+//! [`ShardedPipeline`] scaling sweep (`shard_sweep`), the fault-injected
+//! control loop (`chaos`), compiled index vs linear scan (`rule_index`),
+//! linear/indexed/sharded verdict parity (`replay_parity`), the columnar
+//! `Pipeline` vs the per-packet `ScalarPipeline` oracle (`columnar`), the
+//! million-flow sketched stream (`streaming`), the drift-adaptation and
+//! hitless ruleset-swap loop (`swap`), the adversarial overload canon
+//! (`overload`), the phase-aware early-verdict ladder (`phases`), the
+//! golden confusion matrix on the exact path (`golden`), and the verified
+//! telemetry snapshot (`telemetry`).
 //!
-//! Three sibling documents ride along: `BENCH_PR7.json` (the streaming
-//! sketch sweep), `BENCH_PR8.json` (the online drift-adaptation loop —
-//! drift detection, warm retrain, minimal rule diff, hitless transactional
-//! swap, each behind its own hard gate), and `BENCH_PR9.json` (the
-//! overload-resilience sweep: the four adversarial state-exhaustion canon
-//! scenarios replayed through a deliberately starved flow table, with a
-//! per-scenario scorecard — detection rate, benign-FP cost, per-flow
-//! time-to-mitigation CDF, degraded-mode residency, digests shed — gated
-//! on byte-identical fingerprints across a 1/2/8-shard × 1/2/8-worker
-//! grid, observable degraded-mode entry/exit, bounded benign-FP inflation
-//! while degraded, post-storm reconvergence to the fresh-pipeline
-//! confusion matrix, and the unchanged PR-2 golden matrix on the
-//! non-overloaded exact path), and `BENCH_PR10.json` (the phase-aware
-//! classification sweep: per-phase whitelists consulted at intermediate
-//! packet-count boundaries, scored as a detection-latency CDF — packets
-//! seen before verdict, per deciding phase — against the single-shot
-//! baseline on the same storm workloads, gated on byte-identical
-//! shard × worker fingerprints with phases enabled, a phases-disabled
-//! run matching the single-shot fingerprint exactly, strictly improved
-//! pulse-wave median exposure, and nonzero state-exhaustion mitigation).
+//! Every claim the document makes is a row of the `gates` array:
+//! `{name, measured, op, bound, pass}`, where `pass` is computed from the
+//! measured value and the bound by the same code that measures it. Equality
+//! claims (fingerprints, verdict vectors) record a mismatch count against
+//! `== 0`. A failing gate does not abort the run: the document is always
+//! written, `all_gates_pass` summarises the table, and the process exits 1
+//! if any row failed.
 //!
 //! Usage:
 //!
 //! ```text
-//! bench_report [--smoke] [--seed N] [--out PATH] [--out-pr7 PATH] [--out-pr8 PATH]
-//!              [--out-pr9 PATH] [--out-pr10 PATH]
+//! bench_report [--smoke] [--seed N] [--out PATH]
 //! ```
 //!
-//! Without `--out` the five documents land on the committed
-//! `BENCH_PR6.json` … `BENCH_PR10.json`. With `--out X.json` the siblings
-//! follow it as `X.pr7.json` … `X.pr10.json`, so a scratch run never
-//! overwrites the committed history; an explicit `--out-prN` still wins.
-//!
-//! `--smoke` runs one iteration of each stage (CI sanity); the default is
-//! three, reported as min/mean/max. The run aborts if the final telemetry
-//! snapshot fails its invariant checks — or if the shard sweep's replay
-//! reports diverge across shard counts — so a broken counter or a
-//! nondeterministic backend can never produce a plausible-looking
-//! baseline file.
+//! `--out` defaults to `BENCH.json`. `--smoke` runs one iteration of each
+//! stage and an 8000-flow stream (CI sanity); a full run takes three
+//! iterations, reported as min/mean/max, and streams one million flows.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -134,58 +109,115 @@ struct Args {
     smoke: bool,
     seed: u64,
     out: String,
-    out_pr7: String,
-    out_pr8: String,
-    out_pr9: String,
-    out_pr10: String,
 }
 
 fn parse_args() -> Args {
-    const USAGE: &str = "usage: bench_report [--smoke] [--seed N] [--out PATH] [--out-pr7 PATH] \
-                         [--out-pr8 PATH] [--out-pr9 PATH] [--out-pr10 PATH]";
-    const PRS: [&str; 4] = ["pr7", "pr8", "pr9", "pr10"];
-    let (mut smoke, mut seed) = (false, 7);
-    let mut out: Option<String> = None;
-    let mut siblings: [Option<String>; 4] = Default::default();
+    let mut args = Args { smoke: false, seed: 7, out: "BENCH.json".into() };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--smoke" => smoke = true,
+            "--smoke" => args.smoke = true,
             "--seed" => {
                 let v = it.next().expect("--seed needs a value");
-                seed = v.parse().expect("--seed must be an integer");
+                args.seed = v.parse().expect("--seed must be an integer");
             }
-            "--out" => out = Some(it.next().expect("--out needs a path")),
-            flag => match PRS.iter().position(|pr| flag.strip_prefix("--out-") == Some(pr)) {
-                Some(k) => siblings[k] = Some(it.next().expect("--out-prN needs a path")),
-                None => {
-                    eprintln!("unknown argument {flag:?}");
-                    eprintln!("{USAGE}");
-                    std::process::exit(2);
-                }
-            },
+            "--out" => args.out = it.next().expect("--out needs a path"),
+            flag => {
+                eprintln!("unknown argument {flag:?}");
+                eprintln!("usage: bench_report [--smoke] [--seed N] [--out PATH]");
+                std::process::exit(2);
+            }
         }
     }
-    // An unset sibling follows `--out` (`X.json` → `X.prN.json`), or
-    // falls back to its committed `BENCH_PRN.json` without `--out`.
-    let [out_pr7, out_pr8, out_pr9, out_pr10] = std::array::from_fn(|k| {
-        siblings[k].take().unwrap_or_else(|| match &out {
-            Some(o) => std::path::Path::new(o)
-                .with_extension(format!("{}.json", PRS[k]))
-                .display()
-                .to_string(),
-            None => format!("BENCH_{}.json", PRS[k].to_uppercase()),
-        })
-    });
-    Args {
-        smoke,
-        seed,
-        out: out.unwrap_or_else(|| "BENCH_PR6.json".into()),
-        out_pr7,
-        out_pr8,
-        out_pr9,
-        out_pr10,
+    args
+}
+
+/// The comparison a gate row applies: `measured <op> bound`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Op {
+    Le,
+    Lt,
+    Ge,
+    Gt,
+    Eq,
+}
+
+impl Op {
+    fn symbol(self) -> &'static str {
+        match self {
+            Op::Le => "<=",
+            Op::Lt => "<",
+            Op::Ge => ">=",
+            Op::Gt => ">",
+            Op::Eq => "==",
+        }
     }
+
+    /// IEEE comparisons with NaN are false, so a NaN never passes.
+    fn holds(self, measured: f64, bound: f64) -> bool {
+        match self {
+            Op::Le => measured <= bound,
+            Op::Lt => measured < bound,
+            Op::Ge => measured >= bound,
+            Op::Gt => measured > bound,
+            Op::Eq => measured == bound,
+        }
+    }
+}
+
+/// One row of the gate table.
+struct Gate {
+    name: String,
+    measured: f64,
+    op: Op,
+    bound: f64,
+    pass: bool,
+}
+
+/// The gate table. Recording a failure is not fatal: the run carries on,
+/// the document is written, and `main` exits 1 if any row failed.
+#[derive(Default)]
+struct Gates(Vec<Gate>);
+
+impl Gates {
+    /// Records `measured <op> bound` under `name`.
+    fn check(&mut self, name: impl Into<String>, measured: f64, op: Op, bound: f64) {
+        let name = name.into();
+        let pass = op.holds(measured, bound);
+        if !pass {
+            eprintln!("bench_report: gate {name} failed: {measured} {} {bound}", op.symbol());
+        }
+        self.0.push(Gate { name, measured, op, bound, pass });
+    }
+
+    fn all_pass(&self) -> bool {
+        self.0.iter().all(|g| g.pass)
+    }
+
+    /// One single-line object per row, so `grep '{"name": '` lists the
+    /// gate names of a document.
+    fn to_json(&self, indent: usize) -> String {
+        let rows: Vec<String> = self
+            .0
+            .iter()
+            .map(|g| {
+                format!(
+                    "{{\"name\": {}, \"measured\": {}, \"op\": \"{}\", \"bound\": {}, \"pass\": {}}}",
+                    json::string(&g.name),
+                    json::number(g.measured),
+                    g.op.symbol(),
+                    json::number(g.bound),
+                    g.pass
+                )
+            })
+            .collect();
+        json::array(&rows, indent)
+    }
+}
+
+/// Cell-wise L1 distance between two confusion matrices (0 iff equal).
+fn confusion_distance(a: (u64, u64, u64, u64), b: (u64, u64, u64, u64)) -> f64 {
+    (a.0.abs_diff(b.0) + a.1.abs_diff(b.1) + a.2.abs_diff(b.2) + a.3.abs_diff(b.3)) as f64
 }
 
 /// Min/mean/max wall-clock of a named stage across iterations.
@@ -325,10 +357,11 @@ struct SweepPoint {
 
 /// Replays the same trace through the serial `Pipeline` and through
 /// `ShardedPipeline` at 1/2/4/8 physical shards (workers pinned to the
-/// shard count), timing each and checking that every sharded run produces
+/// shard count), timing each and gating that every sharded run produces
 /// the same confusion matrix, digest count and blacklist. Returns
 /// `(baseline_min_ns, baseline_report, points)`.
 fn run_shard_sweep(
+    gates: &mut Gates,
     seed: u64,
     iters: usize,
     fl_rules: &RuleSet,
@@ -389,22 +422,17 @@ fn run_shard_sweep(
     // Determinism gate: every shard count must agree exactly on the
     // replay-visible outputs.
     let first = &points[0];
-    for p in &points[1..] {
-        let same = p.report.tp == first.report.tp
-            && p.report.fp == first.report.fp
-            && p.report.tn == first.report.tn
-            && p.report.fn_ == first.report.fn_
-            && p.report.digests == first.report.digests
-            && p.report.dropped == first.report.dropped
-            && p.blacklist == first.blacklist;
-        if !same {
-            eprintln!(
-                "bench_report: shard sweep diverged at {} shards (vs {} shards)",
-                p.shards, first.shards
-            );
-            std::process::exit(1);
-        }
-    }
+    let divergent = points[1..]
+        .iter()
+        .filter(|p| {
+            (p.report.tp, p.report.fp, p.report.tn, p.report.fn_)
+                != (first.report.tp, first.report.fp, first.report.tn, first.report.fn_)
+                || p.report.digests != first.report.digests
+                || p.report.dropped != first.report.dropped
+                || p.blacklist != first.blacklist
+        })
+        .count();
+    gates.check("shard_sweep.divergent_shard_counts", divergent as f64, Op::Eq, 0.0);
     (base_min, base_report, points)
 }
 
@@ -449,10 +477,15 @@ fn run_chaos_case(
 /// [`FaultPlan::lossy`]) plus a scripted digest-channel outage scenario.
 /// Every scenario runs with periodic resync so the loop can converge; the
 /// 0.0-rate point doubles as the fault-free baseline for blacklist-delta
-/// accounting. Aborts if re-running the harshest lossy point does not
-/// reproduce byte-identical results — fault injection must stay
-/// deterministic or the curve is meaningless.
-fn run_chaos_sweep(seed: u64, fl_rules: &RuleSet, pl_rules: &RuleSet) -> Vec<ChaosPoint> {
+/// accounting. Gates that re-running the harshest lossy point reproduces
+/// byte-identical results — fault injection must stay deterministic or
+/// the curve is meaningless.
+fn run_chaos_sweep(
+    gates: &mut Gates,
+    seed: u64,
+    fl_rules: &RuleSet,
+    pl_rules: &RuleSet,
+) -> Vec<ChaosPoint> {
     let mut rng = Rng::seed_from_u64(seed ^ 0xC4A0_5C4A);
     let benign = benign_trace(200, 10.0, &mut rng);
     let flood = Attack::UdpDdos.trace(80, 10.0, &mut rng);
@@ -488,10 +521,7 @@ fn run_chaos_sweep(seed: u64, fl_rules: &RuleSet, pl_rules: &RuleSet) -> Vec<Cha
             && rerun.retries == last.report.retries
             && rerun.flush_ticks == last.report.flush_ticks
             && blacklist == last.blacklist;
-        if !same {
-            eprintln!("bench_report: chaos sweep is nondeterministic at drop rate {rate}");
-            std::process::exit(1);
-        }
+        gates.check("chaos.rerun_mismatch", f64::from(!same), Op::Eq, 0.0);
     }
 
     // Outage scenario: the digest channel is down for the first 8 ticks,
@@ -571,10 +601,11 @@ fn min_time_ns(iters: usize, mut f: impl FnMut() -> u64) -> (u64, u64) {
 /// miss paths are exercised; keys are quantized once and reused, so the
 /// TCAM timings measure lookup cost only).
 ///
-/// Aborts the run if any indexed verdict differs from its linear twin, or
-/// if the indexed path is not ≥2× faster at ≥256 rules.
-fn run_rule_index_sweep(seed: u64, iters: usize) -> Vec<IndexPoint> {
+/// Gates that every indexed verdict equals its linear twin (and the timed
+/// checksums agree) and that the indexed path is ≥2× faster at ≥256 rules.
+fn run_rule_index_sweep(gates: &mut Gates, seed: u64, iters: usize) -> Vec<IndexPoint> {
     let mut points = Vec::new();
+    let mut mismatches = 0u64;
     for n_rules in INDEX_RULE_COUNTS {
         let mut rng = Rng::seed_from_u64(seed ^ 0x1DE0 ^ n_rules as u64);
         let rules = synthetic_index_rules(n_rules, &mut rng);
@@ -601,13 +632,7 @@ fn run_rule_index_sweep(seed: u64, iters: usize) -> Vec<IndexPoint> {
         let linear_verdicts: Vec<Option<usize>> = rows.iter().map(|r| rules.lookup(r)).collect();
         let mut scratch = Vec::new();
         for (row, want) in rows.iter().zip(&linear_verdicts) {
-            let got = float_index.lookup(row, &mut scratch);
-            if got != *want {
-                eprintln!(
-                    "bench_report: float index verdict {got:?} != linear {want:?} at {n_rules} rules"
-                );
-                std::process::exit(1);
-            }
+            mismatches += u64::from(float_index.lookup(row, &mut scratch) != *want);
         }
         let (float_linear_ns, sum_a) = min_time_ns(iters, || {
             let mut acc = 0u64;
@@ -625,7 +650,7 @@ fn run_rule_index_sweep(seed: u64, iters: usize) -> Vec<IndexPoint> {
             }
             acc
         });
-        assert_eq!(sum_a, sum_b, "timed runs must agree with the verified verdicts");
+        mismatches += u64::from(sum_a != sum_b);
 
         // --- TCAM path: quantize every probe once, then time the linear
         // RangeTable scan vs the compiled RangeIndex on identical keys.
@@ -642,14 +667,8 @@ fn run_rule_index_sweep(seed: u64, iters: usize) -> Vec<IndexPoint> {
             .collect();
         let mut qscratch = Vec::new();
         for key in &keys {
-            let want = table.lookup_idx(key);
-            let got = range_index.lookup(key, &mut qscratch);
-            if got != want {
-                eprintln!(
-                    "bench_report: TCAM index verdict {got:?} != linear {want:?} at {n_rules} rules"
-                );
-                std::process::exit(1);
-            }
+            mismatches +=
+                u64::from(range_index.lookup(key, &mut qscratch) != table.lookup_idx(key));
         }
         let (tcam_linear_ns, sum_c) = min_time_ns(iters, || {
             let mut acc = 0u64;
@@ -667,7 +686,7 @@ fn run_rule_index_sweep(seed: u64, iters: usize) -> Vec<IndexPoint> {
             }
             acc
         });
-        assert_eq!(sum_c, sum_d, "timed TCAM runs must agree with the verified verdicts");
+        mismatches += u64::from(sum_c != sum_d);
 
         let hits = linear_verdicts.iter().filter(|v| v.is_some()).count();
         points.push(IndexPoint {
@@ -683,6 +702,7 @@ fn run_rule_index_sweep(seed: u64, iters: usize) -> Vec<IndexPoint> {
         });
     }
 
+    gates.check("rule_index.verdict_mismatches", mismatches as f64, Op::Eq, 0.0);
     for p in &points {
         let fs = p.float_linear_ns as f64 / p.float_indexed_ns.max(1) as f64;
         let ts = p.tcam_linear_ns as f64 / p.tcam_indexed_ns.max(1) as f64;
@@ -690,12 +710,9 @@ fn run_rule_index_sweep(seed: u64, iters: usize) -> Vec<IndexPoint> {
             "bench_report: rule_index {} rules: float {:.2}x, tcam {:.2}x",
             p.n_rules, fs, ts
         );
-        if p.n_rules >= 256 && (fs < 2.0 || ts < 2.0) {
-            eprintln!(
-                "bench_report: index speedup below the 2x gate at {} rules (float {fs:.2}x, tcam {ts:.2}x)",
-                p.n_rules
-            );
-            std::process::exit(1);
+        if p.n_rules >= 256 {
+            gates.check(format!("rule_index.{}.float_speedup", p.n_rules), fs, Op::Ge, 2.0);
+            gates.check(format!("rule_index.{}.tcam_speedup", p.n_rules), ts, Op::Ge, 2.0);
         }
     }
     points
@@ -707,6 +724,7 @@ fn run_rule_index_sweep(seed: u64, iters: usize) -> Vec<IndexPoint> {
 /// workers) — must produce byte-identical verdict vectors. Returns the
 /// row count and the serial backend's whitelist lookup counters.
 fn run_replay_parity(
+    gates: &mut Gates,
     seed: u64,
     fl_rules: &RuleSet,
     pl_rules: &RuleSet,
@@ -729,10 +747,10 @@ fn run_replay_parity(
     let mut sharded = Vec::new();
     iguard_runtime::par::with_workers(8, || sp.classify_batch(rows, &mut sharded));
 
-    if serial != linear || sharded != linear {
-        eprintln!("bench_report: replay-trace verdicts diverge between linear and indexed paths");
-        std::process::exit(1);
-    }
+    let mismatches = linear.len().abs_diff(serial.len())
+        + linear.len().abs_diff(sharded.len())
+        + linear.iter().zip(&serial).zip(&sharded).filter(|((l, s), h)| s != l || h != l).count();
+    gates.check("replay_parity.verdict_mismatches", mismatches as f64, Op::Eq, 0.0);
     (rows.rows(), pipeline.whitelist_counters())
 }
 
@@ -764,7 +782,13 @@ struct SoaReplay {
 /// packet-level lookup — the path where the scalar backend pays a feature
 /// allocation and a full index probe per packet while the columnar
 /// backend batches both.
-fn run_soa_replay(seed: u64, iters: usize, fl_rules: &RuleSet, pl_rules: &RuleSet) -> SoaReplay {
+fn run_soa_replay(
+    gates: &mut Gates,
+    seed: u64,
+    iters: usize,
+    fl_rules: &RuleSet,
+    pl_rules: &RuleSet,
+) -> SoaReplay {
     use iguard_switch::pipeline::ScalarPipeline;
     let mut rng = Rng::seed_from_u64(seed ^ 0x50A0_50A0);
     let benign = benign_trace(400, 12.0, &mut rng);
@@ -794,6 +818,7 @@ fn run_soa_replay(seed: u64, iters: usize, fl_rules: &RuleSet, pl_rules: &RuleSe
         let mut scalar_min = u64::MAX;
         let mut soa_min = u64::MAX;
         let mut packets = 0u64;
+        let mut mismatches = 0u64;
         // One retry round: a background-noise burst spanning several
         // iterations can sink either side's min; a genuine regression
         // fails both attempts. Mins accumulate across attempts.
@@ -810,10 +835,7 @@ fn run_soa_replay(seed: u64, iters: usize, fl_rules: &RuleSet, pl_rules: &RuleSe
                     && s_paths == b_paths
                     && s_wl == b_wl
                     && s_bl == b_bl;
-                if !same {
-                    eprintln!("bench_report: SoA replay outputs diverge from the scalar oracle");
-                    std::process::exit(1);
-                }
+                mismatches += u64::from(!same);
                 scalar_min = scalar_min.min(s_ns);
                 soa_min = soa_min.min(b_ns);
                 packets = b_report.packets;
@@ -828,13 +850,8 @@ fn run_soa_replay(seed: u64, iters: usize, fl_rules: &RuleSet, pl_rules: &RuleSe
 
         let to_mpps = |ns: u64| packets as f64 / (ns as f64 / 1e9) / 1e6;
         let speedup = scalar_min as f64 / soa_min.max(1) as f64;
-        if speedup < 2.0 {
-            eprintln!(
-                "bench_report: SoA replay speedup {speedup:.2}x < 2.0x gate \
-                 (scalar {scalar_min} ns, columnar {soa_min} ns over {packets} packets)"
-            );
-            std::process::exit(1);
-        }
+        gates.check("columnar.output_mismatches", mismatches as f64, Op::Eq, 0.0);
+        gates.check("columnar.speedup", speedup, Op::Ge, 2.0);
         SoaReplay {
             packets,
             scalar_min_ns: scalar_min,
@@ -930,12 +947,11 @@ fn run_alloc_probe(seed: u64, fl_rules: &RuleSet, pl_rules: &RuleSet, flows: usi
     }
 }
 
-/// The PR-7 tentpole sweep: a streaming (never materialised) trace of
-/// `IGUARD_PR7_FLOWS` flows — one million by default, a few thousand in
-/// smoke — replayed through the exact `Pipeline`, the `SketchedPipeline`
-/// in exact mode (infinite budget, fingerprint-gated against the exact
-/// run), and sketched points at `flows/8` and `flows/64` slot budgets.
-/// Hard gates:
+/// The streaming sweep: a never-materialised trace of one million flows
+/// (8000 in smoke) replayed through the exact `Pipeline`, the
+/// `SketchedPipeline` in exact mode (infinite budget, fingerprint-gated
+/// against the exact run), and sketched points at 512- and 128-slot
+/// budgets. Gates:
 ///
 /// * exact-mode sketched run must match the exact pipeline's confusion
 ///   matrix, digest count, packet count, and blacklist;
@@ -945,15 +961,13 @@ fn run_alloc_probe(seed: u64, fl_rules: &RuleSet, pl_rules: &RuleSet, flows: usi
 ///   state, and lost state biases toward the whitelist's PL fallback);
 /// * the marginal-allocation probe must show < 1 allocation per batch.
 fn run_streaming_sweep(
+    gates: &mut Gates,
     seed: u64,
     smoke: bool,
     fl_rules: &RuleSet,
     pl_rules: &RuleSet,
 ) -> (StreamingConfig, Vec<StreamRun>, AllocProbe) {
-    let flows: usize = std::env::var("IGUARD_PR7_FLOWS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 20_000 } else { 1_000_000 });
+    let flows: usize = if smoke { 8_000 } else { 1_000_000 };
     let scfg = StreamingConfig::default().with_seed(seed ^ 0x57E4).with_total_flows(flows as u64);
 
     let mut runs = Vec::new();
@@ -975,10 +989,7 @@ fn run_streaming_sweep(
             && e.report.packets == s.report.packets
             && e.report.digests == s.report.digests
             && e.blacklist == s.blacklist;
-        if !same {
-            eprintln!("bench_report: sketched exact mode diverged from the exact pipeline");
-            std::process::exit(1);
-        }
+        gates.check("streaming.exact_mode_mismatch", f64::from(!same), Op::Eq, 0.0);
     }
 
     for slots in STREAM_BUDGET_SLOTS {
@@ -991,23 +1002,23 @@ fn run_streaming_sweep(
         let mut dp = SketchedPipeline::new(cfg, fl_rules.clone(), pl_rules.clone());
         let run = run_stream_once(&scfg, &mut dp, &format!("sketched_budget_{slots}"));
         let stats = run.stats.expect("sketched backend reports stats");
-        if stats.tracked > stats.max_tracked
-            || stats.budget_bytes.is_some_and(|b| stats.resident_bytes > b)
-        {
-            eprintln!(
-                "bench_report: budget breached at {slots} slots: tracked {} / {} \
-                 resident {} / {:?}",
-                stats.tracked, stats.max_tracked, stats.resident_bytes, stats.budget_bytes
-            );
-            std::process::exit(1);
-        }
+        let gate = |metric: &str| format!("streaming.budget_{slots}.{metric}");
+        gates.check(gate("tracked"), stats.tracked as f64, Op::Le, stats.max_tracked as f64);
+        let budget = stats.budget_bytes.map_or(f64::NAN, |b| b as f64);
+        gates.check(gate("resident_bytes"), stats.resident_bytes as f64, Op::Le, budget);
         let exact_report = &runs[0].report;
-        if run.report.packets != exact_report.packets
-            || run.report.tp + run.report.fn_ != exact_report.tp + exact_report.fn_
-        {
-            eprintln!("bench_report: budgeted stream drifted from the exact stream");
-            std::process::exit(1);
-        }
+        gates.check(
+            gate("packets"),
+            run.report.packets as f64,
+            Op::Eq,
+            exact_report.packets as f64,
+        );
+        gates.check(
+            gate("malicious_packets"),
+            (run.report.tp + run.report.fn_) as f64,
+            Op::Eq,
+            (exact_report.tp + exact_report.fn_) as f64,
+        );
         // FP/FN bound: every verdict flip vs the exact run traces back to
         // shed state — a packet the sketch absorbed, or a flow restarted
         // by eviction (≤ pkt_threshold re-windowed packets each). The
@@ -1016,17 +1027,10 @@ fn run_streaming_sweep(
         let shed_budget = stats.absorbed + stats.evicted * 4;
         let fp_delta = run.report.fp.abs_diff(exact_report.fp);
         let fn_delta = run.report.fn_.abs_diff(exact_report.fn_);
-        if fp_delta > shed_budget || fn_delta > shed_budget {
-            eprintln!(
-                "bench_report: budget of {slots} slots drifts beyond its shed work \
-                 (fp Δ{fp_delta}, fn Δ{fn_delta}, budget {shed_budget})"
-            );
-            std::process::exit(1);
-        }
-        if exact_report.tp > 0 && run.report.tp == 0 {
-            eprintln!("bench_report: budget of {slots} slots lost all detections");
-            std::process::exit(1);
-        }
+        gates.check(gate("fp_delta"), fp_delta as f64, Op::Le, shed_budget as f64);
+        gates.check(gate("fn_delta"), fn_delta as f64, Op::Le, shed_budget as f64);
+        let lost_all = exact_report.tp > 0 && run.report.tp == 0;
+        gates.check(gate("lost_all_detections"), f64::from(lost_all), Op::Eq, 0.0);
         runs.push(run);
     }
 
@@ -1037,13 +1041,12 @@ fn run_streaming_sweep(
         "bench_report: alloc probe: {} marginal allocs over {} marginal batches",
         probe.marginal_allocs, probe.marginal_batches
     );
-    if probe.marginal_allocs >= probe.marginal_batches {
-        eprintln!(
-            "bench_report: streaming path allocates per batch ({} allocs / {} batches)",
-            probe.marginal_allocs, probe.marginal_batches
-        );
-        std::process::exit(1);
-    }
+    gates.check(
+        "streaming.alloc_probe.marginal_allocs",
+        probe.marginal_allocs as f64,
+        Op::Lt,
+        probe.marginal_batches as f64,
+    );
 
     (scfg, runs, probe)
 }
@@ -1173,27 +1176,16 @@ fn scripted_swap_chaos(fl: &RuleSet, plan: FaultPlan) -> ChaosConfig {
         .with_ruleset_swap(6, RulesetTxn::diff(2, &t1, &t2, fl.clone()))
 }
 
-/// Rendered JSON sections of the PR-8 report, assembled where the hard
-/// gates run so the booleans and the numbers they guard stay together.
-struct SwapSweepDoc {
-    drift_loop: String,
-    rule_diff: String,
-    swap_window: String,
-    fault_convergence: String,
-    determinism: String,
-    versioning: String,
-}
-
-/// The PR-8 tentpole sweep: drives the adaptation loop end to end — train
+/// The ruleset-swap sweep: drives the adaptation loop end to end — train
 /// and install generation 1, watch a calm then a shifted traffic regime
 /// through the drift detector, warm-retrain on the shifted window, compile
 /// generation 2, compute the minimal diff and deliver it through a dark
 /// action channel — then gates the swap path itself: zero packets may see
 /// a blend of two rulesets mid-swap, scripted swaps under lossy/outage
 /// plans must converge on the fault-free fingerprint, and the whole run
-/// must be byte-identical at 1/2/8 shards × workers. Every gate aborts the
-/// run before a report is written.
-fn run_ruleset_swap_sweep(seed: u64, pl_rules: &RuleSet) -> SwapSweepDoc {
+/// must be byte-identical at 1/2/8 shards × workers. Returns the rendered
+/// `swap` section.
+fn run_ruleset_swap_sweep(gates: &mut Gates, seed: u64, pl_rules: &RuleSet) -> String {
     let mut rng = Rng::seed_from_u64(seed ^ 0x0DD5_11F7);
     let extract_cfg = ExtractConfig::default();
     let teacher = OracleTeacher(|x: &[f32]| x[10] < 0.0008 || x[2] > 1200.0);
@@ -1223,10 +1215,8 @@ fn run_ruleset_swap_sweep(seed: u64, pl_rules: &RuleSet) -> SwapSweepDoc {
     let replay_cfg = ReplayConfig::default().with_batch_size(1024);
     let calm = benign_trace(220, 10.0, &mut rng);
     let r_calm = replay(&calm, &mut pipeline, &mut controller, &replay_cfg);
-    if controller.take_drift_trigger() {
-        eprintln!("bench_report: drift fired on calm traffic");
-        std::process::exit(1);
-    }
+    let fired_on_calm = controller.take_drift_trigger();
+    gates.check("swap.drift.fired_on_calm", f64::from(fired_on_calm), Op::Eq, 0.0);
     let calm_fraction = controller.drift_detector().map_or(0.0, |d| d.window_fraction());
     let reference = controller.drift_detector().and_then(|d| d.reference());
 
@@ -1236,10 +1226,8 @@ fn run_ruleset_swap_sweep(seed: u64, pl_rules: &RuleSet) -> SwapSweepDoc {
         Attack::UdpDdos.trace(90, 10.0, &mut rng),
     ]);
     let r_shift = replay(&shifted, &mut pipeline, &mut controller, &replay_cfg);
-    if !controller.take_drift_trigger() {
-        eprintln!("bench_report: regime shift did not fire the drift trigger");
-        std::process::exit(1);
-    }
+    let missed_shift = !controller.take_drift_trigger();
+    gates.check("swap.drift.missed_shift", f64::from(missed_shift), Op::Eq, 0.0);
     let det = controller.drift_detector().expect("drift configured");
     let (drift_observed, drift_fires, shifted_fraction) =
         (det.observed(), det.fires(), det.window_fraction());
@@ -1253,10 +1241,7 @@ fn run_ruleset_swap_sweep(seed: u64, pl_rules: &RuleSet) -> SwapSweepDoc {
     let v2 = RulesetTxn::diff(2, &old_table, &new_table, new_rules.clone());
     let retrain_churn = v2.churn();
     let retrain_full = old_table.len() + new_table.len();
-    if retrain_churn > retrain_full {
-        eprintln!("bench_report: diff churn {retrain_churn} exceeds full reinstall {retrain_full}");
-        std::process::exit(1);
-    }
+    gates.check("swap.rule_diff.warm_churn", retrain_churn as f64, Op::Le, retrain_full as f64);
 
     // --- Deliver v2 through the fallible control loop: the action channel
     // is dark for the first 4 ticks, so the transaction must survive on
@@ -1272,33 +1257,19 @@ fn run_ruleset_swap_sweep(seed: u64, pl_rules: &RuleSet) -> SwapSweepDoc {
     ]);
     let r_settle = replay_chaos(&settle, &mut pipeline, &mut controller, &replay_cfg, &chaos);
     let delivered_version = pipeline.ruleset_version();
-    if delivered_version != 2 || r_settle.ruleset_swaps != 1 {
-        eprintln!(
-            "bench_report: drift transaction did not converge (version {delivered_version}, swaps {})",
-            r_settle.ruleset_swaps
-        );
-        std::process::exit(1);
-    }
-    if r_settle.ruleset_retries == 0 {
-        eprintln!("bench_report: action outage produced no ruleset retries");
-        std::process::exit(1);
-    }
+    gates.check("swap.delivery.version", delivered_version as f64, Op::Eq, 2.0);
+    gates.check("swap.delivery.swaps", r_settle.ruleset_swaps as f64, Op::Eq, 1.0);
+    gates.check("swap.delivery.retries", r_settle.ruleset_retries as f64, Op::Gt, 0.0);
     let after = pipeline.ruleset_counters();
     let tcam_writes = (after.installed + after.removed) - (before.installed + before.removed);
-    if tcam_writes > retrain_churn as u64 {
-        eprintln!("bench_report: TCAM writes {tcam_writes} exceed the diff size {retrain_churn}");
-        std::process::exit(1);
-    }
+    gates.check("swap.delivery.tcam_writes", tcam_writes as f64, Op::Le, retrain_churn as f64);
 
     // --- Perturbed-retrain point: a quarter of the live table dropped, a
     // fifth re-added at shifted priority — the incremental-retrain shape
     // where the minimal diff must strictly beat tearing the table down and
     // reinstalling it wholesale.
     let old_entries = canonical_entries(&old_table);
-    if old_entries.len() < 8 {
-        eprintln!("bench_report: compiled table too small ({}) to perturb", old_entries.len());
-        std::process::exit(1);
-    }
+    gates.check("swap.rule_diff.perturb_base_entries", old_entries.len() as f64, Op::Ge, 8.0);
     let mut perturbed = RangeTable::new(old_table.field_bits.clone());
     for (i, e) in old_entries.iter().enumerate() {
         if i % 4 != 3 {
@@ -1312,13 +1283,13 @@ fn run_ruleset_swap_sweep(seed: u64, pl_rules: &RuleSet) -> SwapSweepDoc {
     }
     let vp = RulesetTxn::diff(2, &old_table, &perturbed, old_rules.clone());
     let perturbed_full = old_table.len() + perturbed.len();
-    if vp.churn() == 0 || vp.churn() >= perturbed_full {
-        eprintln!(
-            "bench_report: perturbed diff churn {} not below full reinstall {perturbed_full}",
-            vp.churn()
-        );
-        std::process::exit(1);
-    }
+    gates.check("swap.rule_diff.perturbed_churn_positive", vp.churn() as f64, Op::Gt, 0.0);
+    gates.check(
+        "swap.rule_diff.perturbed_churn_below_full",
+        vp.churn() as f64,
+        Op::Lt,
+        perturbed_full as f64,
+    );
 
     // --- Swap-window gate: every packet in a mid-stream swap replay must
     // see the old generation's verdict or the new one's — never a blend.
@@ -1329,7 +1300,8 @@ fn run_ruleset_swap_sweep(seed: u64, pl_rules: &RuleSet) -> SwapSweepDoc {
     wtable.push(RangeEntry { fields: vec![(0, 15), (0, 15)], priority: 0 });
     let wtxn = RulesetTxn::full_install(1, &wtable, new_fl.clone());
     let swap_at = wtrace.packets.len().div_ceil(SWAP_BATCH) / 2;
-    let wrun = |fl: RuleSet, swap: Option<usize>| -> Vec<PacketVerdict> {
+    let mut dropped = 0usize;
+    let mut wrun = |fl: RuleSet, swap: Option<usize>| -> Vec<PacketVerdict> {
         let mut dp = Pipeline::new(swap_pipe_cfg(), fl, accept_all(4));
         let mut outcomes: Vec<ProcessOutcome> = Vec::new();
         let mut verdicts = Vec::with_capacity(wtrace.packets.len());
@@ -1338,10 +1310,7 @@ fn run_ruleset_swap_sweep(seed: u64, pl_rules: &RuleSet) -> SwapSweepDoc {
                 dp.apply_ruleset(&wtxn).expect("mid-stream swap");
             }
             dp.process_batch(chunk, &mut outcomes);
-            if outcomes.len() != chunk.len() {
-                eprintln!("bench_report: swap window dropped a packet");
-                std::process::exit(1);
-            }
+            dropped += chunk.len().saturating_sub(outcomes.len());
             verdicts.extend(outcomes.iter().map(|o| o.verdict));
         }
         verdicts
@@ -1349,24 +1318,19 @@ fn run_ruleset_swap_sweep(seed: u64, pl_rules: &RuleSet) -> SwapSweepDoc {
     let old_run = wrun(old_fl.clone(), None);
     let new_run = wrun(new_fl, None);
     let swap_run = wrun(old_fl, Some(swap_at));
+    gates.check("swap.window.dropped_packets", dropped as f64, Op::Eq, 0.0);
     let boundary = swap_at * SWAP_BATCH;
-    if swap_run[..boundary] != old_run[..boundary] {
-        eprintln!("bench_report: pre-swap prefix diverged from the old generation");
-        std::process::exit(1);
-    }
+    let mut prefix_mismatches = 0u64;
     let mut disagreements = 0u64;
     let mut mixed = 0u64;
-    for i in 0..swap_run.len() {
-        disagreements += u64::from(old_run[i] != new_run[i]);
-        mixed += u64::from(swap_run[i] != old_run[i] && swap_run[i] != new_run[i]);
+    for (i, ((s, o), n)) in swap_run.iter().zip(&old_run).zip(&new_run).enumerate() {
+        prefix_mismatches += u64::from(i < boundary && s != o);
+        disagreements += u64::from(o != n);
+        mixed += u64::from(s != o && s != n);
     }
-    if mixed != 0 || disagreements == 0 {
-        eprintln!(
-            "bench_report: swap window misclassified {mixed} packets \
-             ({disagreements} generation disagreements)"
-        );
-        std::process::exit(1);
-    }
+    gates.check("swap.window.prefix_mismatches", prefix_mismatches as f64, Op::Eq, 0.0);
+    gates.check("swap.window.misclassified", mixed as f64, Op::Eq, 0.0);
+    gates.check("swap.window.generation_disagreements", disagreements as f64, Op::Gt, 0.0);
 
     // --- Scripted convergence: the same two-transaction schedule under a
     // fault-free, a lossy and a dark action channel.
@@ -1374,14 +1338,14 @@ fn run_ruleset_swap_sweep(seed: u64, pl_rules: &RuleSet) -> SwapSweepDoc {
     let cfl = fl_mean_size_below(800.0);
     let clean =
         run_swap_chaos_case(&ctrace, &cfl, 1, 1, &scripted_swap_chaos(&cfl, FaultPlan::none()));
-    if clean.version != 2 || clean.swaps != 2 || clean.retries != 0 {
-        eprintln!("bench_report: fault-free scripted swap did not land both transactions");
-        std::process::exit(1);
-    }
+    gates.check("swap.convergence.fault_free.version", clean.version as f64, Op::Eq, 2.0);
+    gates.check("swap.convergence.fault_free.swaps", clean.swaps as f64, Op::Eq, 2.0);
+    gates.check("swap.convergence.fault_free.retries", clean.retries as f64, Op::Eq, 0.0);
 
     // Determinism gate: byte-identical at 1/2/8 shards × workers, under
     // the fault-free and the lossy plan.
     let mut det_points: Vec<(&str, usize, usize)> = Vec::new();
+    let mut det_mismatches = 0u64;
     for (plan_label, plan) in
         [("none", FaultPlan::none()), ("lossy_0.2", FaultPlan::lossy(seed ^ 0x5CA1, 0.2))]
     {
@@ -1389,16 +1353,11 @@ fn run_ruleset_swap_sweep(seed: u64, pl_rules: &RuleSet) -> SwapSweepDoc {
         let base = run_swap_chaos_case(&ctrace, &cfl, 1, 1, &chaos);
         for (shards, workers) in [(2usize, 2usize), (8, 8)] {
             let got = run_swap_chaos_case(&ctrace, &cfl, shards, workers, &chaos);
-            if got != base {
-                eprintln!(
-                    "bench_report: swap run diverged at {shards} shards / {workers} workers \
-                     (plan {plan_label})"
-                );
-                std::process::exit(1);
-            }
+            det_mismatches += u64::from(got != base);
             det_points.push((plan_label, shards, workers));
         }
     }
+    gates.check("swap.determinism.mismatched_points", det_mismatches as f64, Op::Eq, 0.0);
 
     let lossy = run_swap_chaos_case(
         &ctrace,
@@ -1417,31 +1376,27 @@ fn run_ruleset_swap_sweep(seed: u64, pl_rules: &RuleSet) -> SwapSweepDoc {
             FaultPlan::none().with_seed(seed ^ 3).with_outage(ChannelKind::Action, 0, 8),
         ),
     );
-    if outage.retries == 0 || outage.counters.stale != 0 {
-        eprintln!(
-            "bench_report: outage swap must retry with zero stale deliveries (retries {}, stale {})",
-            outage.retries, outage.counters.stale
-        );
-        std::process::exit(1);
-    }
+    let outage_gate = "swap.convergence.action_outage_0_8";
+    gates.check(format!("{outage_gate}.retries"), outage.retries as f64, Op::Gt, 0.0);
+    gates.check(format!("{outage_gate}.stale"), outage.counters.stale as f64, Op::Eq, 0.0);
     for (label, faulty) in [("lossy_0.25", &lossy), ("action_outage_0_8", &outage)] {
-        if faulty.version != 2 || faulty.swaps != 2 {
-            eprintln!("bench_report: {label} swap did not converge");
-            std::process::exit(1);
-        }
-        if faulty.blacklist != clean.blacklist || faulty.table != clean.table {
-            eprintln!("bench_report: {label} swap diverged from the fault-free fingerprint");
-            std::process::exit(1);
-        }
-        // The PR-4 lossy-action invariant, which the swap must not weaken:
-        // TPs may trade for FNs while installs retry, FPs never inflate
-        // and the malicious packet population is conserved.
-        let conserved =
-            faulty.confusion.0 + faulty.confusion.3 == clean.confusion.0 + clean.confusion.3;
-        if faulty.confusion.1 != clean.confusion.1 || !conserved {
-            eprintln!("bench_report: {label} swap inflated FPs or lost malicious packets");
-            std::process::exit(1);
-        }
+        let gate = |metric: &str| format!("swap.convergence.{label}.{metric}");
+        gates.check(gate("version"), faulty.version as f64, Op::Eq, 2.0);
+        gates.check(gate("swaps"), faulty.swaps as f64, Op::Eq, 2.0);
+        let blacklist_mismatch = faulty.blacklist != clean.blacklist;
+        gates.check(gate("blacklist_mismatch"), f64::from(blacklist_mismatch), Op::Eq, 0.0);
+        let table_mismatch = faulty.table != clean.table;
+        gates.check(gate("table_mismatch"), f64::from(table_mismatch), Op::Eq, 0.0);
+        // The lossy-action invariant, which the swap must not weaken: TPs
+        // may trade for FNs while installs retry, FPs never inflate and
+        // the malicious packet population is conserved.
+        gates.check(gate("fp"), faulty.confusion.1 as f64, Op::Eq, clean.confusion.1 as f64);
+        gates.check(
+            gate("malicious_packets"),
+            (faulty.confusion.0 + faulty.confusion.3) as f64,
+            Op::Eq,
+            (clean.confusion.0 + clean.confusion.3) as f64,
+        );
     }
 
     // --- Idempotent-replay and stale-rejection accounting (also puts the
@@ -1455,10 +1410,10 @@ fn run_ruleset_swap_sweep(seed: u64, pl_rules: &RuleSet) -> SwapSweepDoc {
     acct.apply_ruleset(&a1).expect("replaying v1 must be a no-op");
     let stale_rejected = acct.apply_ruleset(&RulesetTxn::full_install(9, &atable, afl)).is_err();
     let ac = acct.ruleset_counters();
-    if !stale_rejected || (ac.swaps, ac.replayed, ac.stale) != (1, 1, 1) {
-        eprintln!("bench_report: replay/stale accounting broken: {ac:?}");
-        std::process::exit(1);
-    }
+    gates.check("swap.versioning.stale_accepted", f64::from(!stale_rejected), Op::Eq, 0.0);
+    gates.check("swap.versioning.swaps", ac.swaps as f64, Op::Eq, 1.0);
+    gates.check("swap.versioning.replayed", ac.replayed as f64, Op::Eq, 1.0);
+    gates.check("swap.versioning.stale", ac.stale as f64, Op::Eq, 1.0);
 
     // --- Assemble the report sections.
     let mut delivery_json = json::Object::new();
@@ -1481,10 +1436,7 @@ fn run_ruleset_swap_sweep(seed: u64, pl_rules: &RuleSet) -> SwapSweepDoc {
         .f64("reference_fraction", reference.unwrap_or(0.0))
         .f64("calm_fraction", calm_fraction)
         .f64("shifted_fraction", shifted_fraction)
-        // Hard-gated above: calm traffic quiet, the regime shift fired.
-        .bool("fired_on_calm", false)
-        .bool("fired_on_shift", true)
-        .raw("delivery", delivery_json.render(2));
+        .raw("delivery", delivery_json.render(3));
 
     let mut retrain_json = json::Object::new();
     retrain_json
@@ -1503,12 +1455,8 @@ fn run_ruleset_swap_sweep(seed: u64, pl_rules: &RuleSet) -> SwapSweepDoc {
         .u64("full_reinstall", perturbed_full as u64);
     let mut diff_json = json::Object::new();
     diff_json
-        // Hard-gated above: writes ≤ diff churn ≤ full reinstall on the
-        // warm retrain, and strictly below it on the perturbed retrain.
-        .bool("writes_at_most_diff", true)
-        .bool("perturbed_diff_below_full_reinstall", true)
-        .raw("warm_retrain", retrain_json.render(2))
-        .raw("perturbed_retrain", perturbed_json.render(2));
+        .raw("warm_retrain", retrain_json.render(3))
+        .raw("perturbed_retrain", perturbed_json.render(3));
 
     let mut window_json = json::Object::new();
     window_json
@@ -1516,12 +1464,7 @@ fn run_ruleset_swap_sweep(seed: u64, pl_rules: &RuleSet) -> SwapSweepDoc {
         .u64("batch_size", SWAP_BATCH as u64)
         .u64("swap_batch", swap_at as u64)
         .u64("generation_disagreements", disagreements)
-        // Hard-gated above: zero packets saw a verdict belonging to
-        // neither generation, and the pre-swap prefix was byte-identical
-        // to the pure-old run.
-        .u64("misclassified_during_swap", mixed)
-        .bool("prefix_identical_to_old", true)
-        .bool("hitless", true);
+        .u64("misclassified_during_swap", mixed);
 
     let scenario_json = |label: &str, r: &SwapChaosRun| -> String {
         let mut o = json::Object::new();
@@ -1538,7 +1481,7 @@ fn run_ruleset_swap_sweep(seed: u64, pl_rules: &RuleSet) -> SwapSweepDoc {
             .u64("fn", r.confusion.3)
             .u64("blacklist_len", r.blacklist.len() as u64)
             .u64("table_entries", r.table.len() as u64);
-        o.render(2)
+        o.render(4)
     };
     let scenarios = vec![
         scenario_json("fault_free", &clean),
@@ -1546,49 +1489,36 @@ fn run_ruleset_swap_sweep(seed: u64, pl_rules: &RuleSet) -> SwapSweepDoc {
         scenario_json("action_outage_0_8", &outage),
     ];
     let mut conv_json = json::Object::new();
-    conv_json
-        // Hard-gated above for every faulted scenario.
-        .bool("blacklist_matches_fault_free", true)
-        .bool("table_matches_fault_free", true)
-        .bool("no_fp_inflation", true)
-        .bool("malicious_population_conserved", true)
-        .raw("scenarios", json::array(&scenarios, 1));
+    conv_json.raw("scenarios", json::array(&scenarios, 3));
 
     let mut det_points_json = Vec::new();
     for (plan_label, shards, workers) in det_points {
         let mut o = json::Object::new();
-        o.str("plan", plan_label)
-            .u64("shards", shards as u64)
-            .u64("workers", workers as u64)
-            .bool("identical_to_1x1", true);
-        det_points_json.push(o.render(2));
+        o.str("plan", plan_label).u64("shards", shards as u64).u64("workers", workers as u64);
+        det_points_json.push(o.render(4));
     }
     let mut det_json = json::Object::new();
-    det_json.bool("byte_identical", true).raw("points", json::array(&det_points_json, 1));
+    det_json.raw("points", json::array(&det_points_json, 3));
 
     let mut versioning_json = json::Object::new();
-    versioning_json
-        .u64("replayed_absorbed", ac.replayed)
-        .u64("stale_rejected", ac.stale)
-        .bool("replay_is_noop", true)
-        .bool("version_gap_rejected_typed", true);
+    versioning_json.u64("replayed_absorbed", ac.replayed).u64("stale_rejected", ac.stale);
 
-    SwapSweepDoc {
-        drift_loop: drift_json.render(1),
-        rule_diff: diff_json.render(1),
-        swap_window: window_json.render(1),
-        fault_convergence: conv_json.render(1),
-        determinism: det_json.render(1),
-        versioning: versioning_json.render(1),
-    }
+    let mut swap_json = json::Object::new();
+    swap_json
+        .raw("drift_loop", drift_json.render(2))
+        .raw("rule_diff", diff_json.render(2))
+        .raw("swap_window", window_json.render(2))
+        .raw("fault_convergence", conv_json.render(2))
+        .raw("determinism", det_json.render(2))
+        .raw("versioning", versioning_json.render(2));
+    swap_json.render(1)
 }
 
 // ---------------------------------------------------------------------
-// PR-9: the overload-resilience sweep — the adversarial scenario canon
+// The overload-resilience sweep — the adversarial scenario canon
 // replayed through a deliberately starved flow table, scored per
 // scenario and gated on grid determinism, observable degraded-mode
-// hysteresis, bounded benign-FP inflation, post-storm reconvergence and
-// the untouched golden exact path.
+// hysteresis, bounded benign-FP inflation and post-storm reconvergence.
 // ---------------------------------------------------------------------
 
 /// Replay batch size of the overload sweep. Small enough that a storm's
@@ -1810,11 +1740,12 @@ fn overload_stats_json(o: &OverloadStats, indent: usize) -> String {
     j.render(indent)
 }
 
-/// The PR-2 golden exact-path deployment (seed 0xC0FFEE, default-size
-/// flow table, no storm), re-run under this binary so the overload layer
-/// provably leaves the non-overloaded exact path untouched. Aborts if
-/// the confusion matrix moved off the PR-2 constant.
-fn run_golden_exact_gate() -> (u64, (u64, u64, u64, u64)) {
+/// The golden exact-path deployment (seed 0xC0FFEE, default-size flow
+/// table, no storm, no phase schedule), re-run under this binary so the
+/// overload and phase layers provably leave the non-overloaded exact path
+/// untouched. Gates the confusion matrix against the golden constant and
+/// returns the rendered `golden` section.
+fn run_golden(gates: &mut Gates) -> String {
     const GOLDEN_CONFUSION: (u64, u64, u64, u64) = (3999, 1019, 1569, 172);
     let mut rng = Rng::seed_from_u64(0xC0FFEE);
     let cfg = ExtractConfig::default();
@@ -1854,26 +1785,20 @@ fn run_golden_exact_gate() -> (u64, (u64, u64, u64, u64)) {
     );
     let mut controller = Controller::new(ControllerConfig::default());
     let r = replay(&trace, &mut pipeline, &mut controller, &ReplayConfig::default());
-    if (r.tp, r.fp, r.tn, r.fn_) != GOLDEN_CONFUSION {
-        eprintln!(
-            "bench_report: PR-2 golden confusion matrix drifted on the exact path: \
-             ({}, {}, {}, {}) != {GOLDEN_CONFUSION:?}",
-            r.tp, r.fp, r.tn, r.fn_
-        );
-        std::process::exit(1);
-    }
-    (r.packets, GOLDEN_CONFUSION)
+    let confusion = (r.tp, r.fp, r.tn, r.fn_);
+    let distance = confusion_distance(confusion, GOLDEN_CONFUSION);
+    gates.check("golden.confusion_distance", distance, Op::Eq, 0.0);
+    let mut golden_json = json::Object::new();
+    golden_json
+        .u64("packets", r.packets)
+        .u64("tp", r.tp)
+        .u64("fp", r.fp)
+        .u64("tn", r.tn)
+        .u64("fn", r.fn_);
+    golden_json.render(1)
 }
 
-/// Rendered sections of `BENCH_PR9.json`.
-struct OverloadSweepDoc {
-    scenarios: String,
-    recovery: String,
-    admission: String,
-    golden: String,
-}
-
-/// The PR-9 tentpole sweep. For each canon scenario: replay the storm
+/// The overload sweep. For each canon scenario: replay the storm
 /// workload across the full shard × worker grid and pin every point's
 /// fingerprint (confusion, digests, blacklist, mitigation log, overload
 /// accounting) to the 1×1 run; demand observable degraded-mode entry
@@ -1882,9 +1807,14 @@ struct OverloadSweepDoc {
 /// shedding-disabled twin. Then: the storm-worn pulse-wave pipeline must
 /// reconverge to a fresh pipeline's confusion matrix on a follow-on
 /// segment, the sketch-admission seam must demonstrably tighten under
-/// pressure (and only under pressure), and the PR-2 golden matrix must
-/// be untouched on the exact path.
-fn run_overload_sweep(seed: u64, fl_rules: &RuleSet, pl_rules: &RuleSet) -> OverloadSweepDoc {
+/// pressure (and only under pressure). Returns the rendered `overload`
+/// section.
+fn run_overload_sweep(
+    gates: &mut Gates,
+    seed: u64,
+    fl_rules: &RuleSet,
+    pl_rules: &RuleSet,
+) -> String {
     let mut scenario_sections = Vec::new();
     let mut worn_pulse: Option<(ShardedPipeline, u64)> = None;
 
@@ -1895,54 +1825,33 @@ fn run_overload_sweep(seed: u64, fl_rules: &RuleSet, pl_rules: &RuleSet) -> Over
 
         // Grid determinism gate: 1/2/8 shards × 1/2/8 workers, every
         // fingerprint byte-identical to the 1×1 point.
+        let gate = |metric: &str| format!("overload.{}.{metric}", sc.name());
         let (base, base_sp) = run_overload_case(&trace, fl_rules, pl_rules, 1, 1);
         let mut grid_points = 1u64;
+        let mut grid_mismatches = 0u64;
         for shards in OVERLOAD_GRID {
             for workers in OVERLOAD_GRID {
                 if (shards, workers) == (1, 1) {
                     continue;
                 }
                 let (got, _) = run_overload_case(&trace, fl_rules, pl_rules, shards, workers);
-                if got != base {
-                    eprintln!(
-                        "bench_report: {} fingerprint diverged at {shards} shards / {workers} workers",
-                        sc.name()
-                    );
-                    std::process::exit(1);
-                }
+                grid_mismatches += u64::from(got != base);
                 grid_points += 1;
             }
         }
+        gates.check(gate("grid_mismatches"), grid_mismatches as f64, Op::Eq, 0.0);
 
         // Hysteresis observability gate, on the scenarios engineered to
         // saturate the table: the run must enter degraded mode, shed
         // benign digests while degraded, exit on the calm tail, and end
         // with every shard recovered.
-        let storm_scenario = matches!(sc, Scenario::StateExhaustion | Scenario::PulseWave);
-        if storm_scenario {
+        if matches!(sc, Scenario::StateExhaustion | Scenario::PulseWave) {
             let o = &base.overload;
-            if o.degraded_entries == 0 || o.degraded_exits == 0 || o.degraded_batches == 0 {
-                eprintln!(
-                    "bench_report: {} never cycled degraded mode (entries {}, exits {}, batches {})",
-                    sc.name(),
-                    o.degraded_entries,
-                    o.degraded_exits,
-                    o.degraded_batches
-                );
-                std::process::exit(1);
-            }
-            if o.shed_benign == 0 {
-                eprintln!("bench_report: {} shed no benign digests while degraded", sc.name());
-                std::process::exit(1);
-            }
-            if o.degraded_shards != 0 {
-                eprintln!(
-                    "bench_report: {} ended with {} shards still degraded",
-                    sc.name(),
-                    o.degraded_shards
-                );
-                std::process::exit(1);
-            }
+            gates.check(gate("degraded_entries"), o.degraded_entries as f64, Op::Gt, 0.0);
+            gates.check(gate("degraded_exits"), o.degraded_exits as f64, Op::Gt, 0.0);
+            gates.check(gate("degraded_batches"), o.degraded_batches as f64, Op::Gt, 0.0);
+            gates.check(gate("shed_benign"), o.shed_benign as f64, Op::Gt, 0.0);
+            gates.check(gate("degraded_shards_at_end"), o.degraded_shards as f64, Op::Eq, 0.0);
         }
 
         // Bounded-FP gate: shedding benign digests defers ClearFlow
@@ -1952,19 +1861,8 @@ fn run_overload_sweep(seed: u64, fl_rules: &RuleSet, pl_rules: &RuleSet) -> Over
         // timing, hence the slack rather than exact equality).
         let baseline = run_overload_baseline(&trace, fl_rules, pl_rules);
         let fp_cap = baseline.confusion.1 + baseline.confusion.1 / 20 + 8;
-        if base.confusion.1 > fp_cap {
-            eprintln!(
-                "bench_report: {} inflated benign FPs while degraded ({} > cap {fp_cap}, baseline {})",
-                sc.name(),
-                base.confusion.1,
-                baseline.confusion.1
-            );
-            std::process::exit(1);
-        }
-        if base.packets != baseline.packets {
-            eprintln!("bench_report: {} packet population not conserved", sc.name());
-            std::process::exit(1);
-        }
+        gates.check(gate("fp"), base.confusion.1 as f64, Op::Le, fp_cap as f64);
+        gates.check(gate("packets"), base.packets as f64, Op::Eq, baseline.packets as f64);
 
         let (tp, fp, tn, fn_) = base.confusion;
         let detection_rate = tp as f64 / (tp + fn_).max(1) as f64;
@@ -1997,14 +1895,11 @@ fn run_overload_sweep(seed: u64, fl_rules: &RuleSet, pl_rules: &RuleSet) -> Over
             .u64("unmitigated_flows", base.unmitigated)
             .f64("degraded_residency", degraded_residency)
             .u64("grid_points", grid_points)
-            .bool("grid_byte_identical", true)
-            .bool("fp_inflation_bounded", true)
-            .bool("degraded_cycle_observed", storm_scenario)
-            .raw("ttm_packets", cdf_json(&base.ttm_packets, 3))
-            .raw("ttm_ticks", cdf_json(&base.ttm_ticks, 3))
-            .raw("overload", overload_stats_json(&base.overload, 3))
-            .raw("shedding_disabled_baseline", fp_base_json.render(3));
-        scenario_sections.push(sj.render(2));
+            .raw("ttm_packets", cdf_json(&base.ttm_packets, 4))
+            .raw("ttm_ticks", cdf_json(&base.ttm_ticks, 4))
+            .raw("overload", overload_stats_json(&base.overload, 4))
+            .raw("shedding_disabled_baseline", fp_base_json.render(4));
+        scenario_sections.push(sj.render(3));
 
         if let Scenario::PulseWave = sc {
             let tail_end = trace.packets.last().map_or(storm_end, |p| p.ts_ns);
@@ -2037,12 +1932,8 @@ fn run_overload_sweep(seed: u64, fl_rules: &RuleSet, pl_rules: &RuleSet) -> Over
     let fresh_report = run_recovery(&mut fresh);
     let worn_c = (worn_report.tp, worn_report.fp, worn_report.tn, worn_report.fn_);
     let fresh_c = (fresh_report.tp, fresh_report.fp, fresh_report.tn, fresh_report.fn_);
-    if worn_c != fresh_c {
-        eprintln!(
-            "bench_report: storm-worn pipeline did not reconverge (worn {worn_c:?}, fresh {fresh_c:?})"
-        );
-        std::process::exit(1);
-    }
+    let distance = confusion_distance(worn_c, fresh_c);
+    gates.check("overload.recovery.confusion_distance", distance, Op::Eq, 0.0);
     let mut recovery_json = json::Object::new();
     recovery_json
         .str("scenario", "pulse_wave")
@@ -2052,8 +1943,7 @@ fn run_overload_sweep(seed: u64, fl_rules: &RuleSet, pl_rules: &RuleSet) -> Over
         .u64("tn", worn_c.2)
         .u64("fn", worn_c.3)
         .u64("worn_digests", worn_report.digests)
-        .u64("fresh_digests", fresh_report.digests)
-        .bool("confusion_matches_fresh", true);
+        .u64("fresh_digests", fresh_report.digests);
 
     // --- Admission gate: under storm pressure the sketch-admission seam
     // must demand more repeat evidence (tightened rejections observable),
@@ -2085,41 +1975,37 @@ fn run_overload_sweep(seed: u64, fl_rules: &RuleSet, pl_rules: &RuleSet) -> Over
     };
     let storm_tightened = probe(&storm_trace);
     let calm_tightened = probe(&calm_trace);
-    if storm_tightened == 0 || calm_tightened != 0 {
-        eprintln!(
-            "bench_report: pressure-adaptive admission gate failed \
-             (storm tightened {storm_tightened}, calm tightened {calm_tightened})"
-        );
-        std::process::exit(1);
-    }
+    gates.check("overload.admission.storm_tightened", storm_tightened as f64, Op::Gt, 0.0);
+    gates.check("overload.admission.calm_tightened", calm_tightened as f64, Op::Eq, 0.0);
     let mut admission_json = json::Object::new();
     admission_json
         .u64("promote_threshold", 2)
         .u64("storm_tightened", storm_tightened)
-        .u64("calm_tightened", calm_tightened)
-        .bool("tightens_only_under_pressure", true);
+        .u64("calm_tightened", calm_tightened);
 
-    // --- Golden gate: the exact path, untouched.
-    eprintln!("bench_report: overload golden gate (PR-2 exact path)");
-    let (golden_packets, golden) = run_golden_exact_gate();
-    let mut golden_json = json::Object::new();
-    golden_json
-        .u64("packets", golden_packets)
-        .u64("tp", golden.0)
-        .u64("fp", golden.1)
-        .u64("tn", golden.2)
-        .u64("fn", golden.3)
-        .bool("unchanged", true);
-
-    OverloadSweepDoc {
-        scenarios: json::array(&scenario_sections, 1),
-        recovery: recovery_json.render(1),
-        admission: admission_json.render(1),
-        golden: golden_json.render(1),
-    }
+    let mut ft_json = json::Object::new();
+    ft_json
+        .u64("slots_per_table", OVERLOAD_SLOTS as u64)
+        .u64("pkt_threshold", 4)
+        .u64("batch_size", OVERLOAD_BATCH as u64);
+    let ocfg = OverloadConfig::default();
+    let mut ocfg_json = json::Object::new();
+    ocfg_json
+        .u64("digest_buffer_cap", ocfg.digest_buffer_cap as u64)
+        .u64("degrade_enter_milli", ocfg.degrade_enter_milli as u64)
+        .u64("degrade_exit_milli", ocfg.degrade_exit_milli as u64)
+        .u64("degrade_calm_batches", ocfg.degrade_calm_batches as u64);
+    let mut overload_json = json::Object::new();
+    overload_json
+        .raw("flow_table", ft_json.render(2))
+        .raw("overload_config", ocfg_json.render(2))
+        .raw("scenarios", json::array(&scenario_sections, 2))
+        .raw("recovery", recovery_json.render(2))
+        .raw("admission", admission_json.render(2));
+    overload_json.render(1)
 }
 
-/// Intermediate phase boundaries for the PR-10 sweep, against the
+/// Intermediate phase boundaries for the phase sweep, against the
 /// overload canon's packet threshold of 4. Boundary 2 is mandatory for
 /// the state-exhaustion scenario: its probe flows send 1–3 packets, so
 /// any later boundary (or the single-shot threshold) never sees them.
@@ -2230,14 +2116,7 @@ fn sorted_p50(v: &[u64]) -> u64 {
     v[((v.len() - 1) as f64 * 0.5).round() as usize]
 }
 
-/// Rendered sections of `BENCH_PR10.json`.
-struct PhaseSweepDoc {
-    training: String,
-    scenarios: String,
-    golden: String,
-}
-
-/// The PR-10 tentpole sweep. Per canon scenario, three runs on the PR-9
+/// The phase sweep. Per canon scenario, three runs on the overload
 /// storm workload: the single-shot baseline (no phase schedule), a
 /// phases-configured-but-no-rulesets run (must fingerprint-match the
 /// baseline exactly — disabling phases recovers single-shot semantics),
@@ -2247,8 +2126,9 @@ struct PhaseSweepDoc {
 /// install, split by deciding phase) is scored against the baseline:
 /// pulse-wave median exposure must strictly improve, and
 /// state-exhaustion — unmitigatable single-shot, its probes die before
-/// the threshold — must show nonzero mitigation.
-fn run_phase_sweep(seed: u64, fl_rules: &RuleSet, pl_rules: &RuleSet) -> PhaseSweepDoc {
+/// the threshold — must show nonzero mitigation. Returns the rendered
+/// `phases` section.
+fn run_phase_sweep(gates: &mut Gates, seed: u64, fl_rules: &RuleSet, pl_rules: &RuleSet) -> String {
     eprintln!("bench_report: phase training ({:?} boundaries)", PHASE_BOUNDARIES);
     let (phase_rules, warm_started, rule_lens) = train_phase_rulesets(seed);
 
@@ -2256,67 +2136,40 @@ fn run_phase_sweep(seed: u64, fl_rules: &RuleSet, pl_rules: &RuleSet) -> PhaseSw
     for sc in ALL_SCENARIOS {
         eprintln!("bench_report: phase scenario {}", sc.name());
         let (trace, _) = overload_scenario_trace(sc, seed);
+        let gate = |metric: &str| format!("phases.{}.{metric}", sc.name());
 
-        // Single-shot baseline: the PR-9 configuration, no phase schedule.
+        // Single-shot baseline: the overload configuration, no phase schedule.
         let (single, _) = run_overload_case(&trace, fl_rules, pl_rules, 1, 1);
 
         // Phases-disabled gate: a schedule with no installed rulesets
         // must escalate every boundary and reproduce the single-shot
         // fingerprint byte-for-byte.
         let disabled = run_phase_case(&trace, fl_rules, pl_rules, &[], 1, 1);
-        if disabled != single {
-            eprintln!(
-                "bench_report: {} phases-disabled run diverged from the single-shot baseline",
-                sc.name()
-            );
-            std::process::exit(1);
-        }
+        gates.check(gate("disabled_mismatch"), f64::from(disabled != single), Op::Eq, 0.0);
 
         // Phase-enabled grid: every point byte-identical to 1×1.
         let base = run_phase_case(&trace, fl_rules, pl_rules, &phase_rules, 1, 1);
         let mut grid_points = 1u64;
+        let mut grid_mismatches = 0u64;
         for shards in OVERLOAD_GRID {
             for workers in OVERLOAD_GRID {
                 if (shards, workers) == (1, 1) {
                     continue;
                 }
                 let got = run_phase_case(&trace, fl_rules, pl_rules, &phase_rules, shards, workers);
-                if got != base {
-                    eprintln!(
-                        "bench_report: {} phase fingerprint diverged at {shards} shards / {workers} workers",
-                        sc.name()
-                    );
-                    std::process::exit(1);
-                }
+                grid_mismatches += u64::from(got != base);
                 grid_points += 1;
             }
         }
+        gates.check(gate("grid_mismatches"), grid_mismatches as f64, Op::Eq, 0.0);
 
         // Detection-latency gates against the single-shot baseline.
-        let base_p50 = sorted_p50(&base.ttm_packets);
-        let single_p50 = sorted_p50(&single.ttm_packets);
-        match sc {
-            Scenario::PulseWave => {
-                if base.records.is_empty() || base_p50 >= single_p50 {
-                    eprintln!(
-                        "bench_report: pulse-wave median exposure did not improve \
-                         (phased p50 {base_p50} vs single-shot p50 {single_p50})"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            Scenario::StateExhaustion => {
-                if base.records.is_empty() {
-                    eprintln!(
-                        "bench_report: state-exhaustion mitigated no flows with phases enabled \
-                         (single-shot mitigated {}, unmitigated {})",
-                        single.records.len(),
-                        single.unmitigated
-                    );
-                    std::process::exit(1);
-                }
-            }
-            _ => {}
+        if matches!(sc, Scenario::PulseWave | Scenario::StateExhaustion) {
+            gates.check(gate("mitigated_flows"), base.records.len() as f64, Op::Gt, 0.0);
+        }
+        if let Scenario::PulseWave = sc {
+            let single_p50 = sorted_p50(&single.ttm_packets) as f64;
+            gates.check(gate("ttm_p50"), sorted_p50(&base.ttm_packets) as f64, Op::Lt, single_p50);
         }
 
         // Per-deciding-phase exposure CDFs, FINAL_PHASE (single-shot
@@ -2335,8 +2188,8 @@ fn run_phase_sweep(seed: u64, fl_rules: &RuleSet, pl_rules: &RuleSet) -> PhaseSw
             } else {
                 o.u64("phase", ph as u64).u64("boundary_packets", PHASE_BOUNDARIES[ph as usize]);
             }
-            o.raw("ttm_packets", cdf_json(&v, 4));
-            phase_cdfs.push(o.render(3));
+            o.raw("ttm_packets", cdf_json(&v, 5));
+            phase_cdfs.push(o.render(4));
         }
 
         let (tp, fp, tn, fn_) = base.confusion;
@@ -2348,7 +2201,7 @@ fn run_phase_sweep(seed: u64, fl_rules: &RuleSet, pl_rules: &RuleSet) -> PhaseSw
             .u64("fn", single.confusion.3)
             .u64("mitigated_flows", single.records.len() as u64)
             .u64("unmitigated_flows", single.unmitigated)
-            .raw("ttm_packets", cdf_json(&single.ttm_packets, 3));
+            .raw("ttm_packets", cdf_json(&single.ttm_packets, 4));
 
         let mut sj = json::Object::new();
         sj.str("scenario", sc.name())
@@ -2362,43 +2215,54 @@ fn run_phase_sweep(seed: u64, fl_rules: &RuleSet, pl_rules: &RuleSet) -> PhaseSw
             .u64("mitigated_flows", base.records.len() as u64)
             .u64("unmitigated_flows", base.unmitigated)
             .u64("grid_points", grid_points)
-            .bool("grid_byte_identical", true)
-            .bool("disabled_matches_single_shot", true)
-            .raw("ttm_packets", cdf_json(&base.ttm_packets, 3))
-            .raw("ttm_packets_by_phase", json::array(&phase_cdfs, 3))
-            .raw("single_shot_baseline", single_json.render(3));
-        scenario_sections.push(sj.render(2));
+            .raw("ttm_packets", cdf_json(&base.ttm_packets, 4))
+            .raw("ttm_packets_by_phase", json::array(&phase_cdfs, 4))
+            .raw("single_shot_baseline", single_json.render(4));
+        scenario_sections.push(sj.render(3));
     }
-
-    // Golden gate, phases disabled: the PR-2 exact-path deployment has no
-    // phase schedule, so its confusion matrix must sit on the constant.
-    eprintln!("bench_report: phase golden gate (PR-2 exact path, phases disabled)");
-    let (golden_packets, golden) = run_golden_exact_gate();
-    let mut golden_json = json::Object::new();
-    golden_json
-        .u64("packets", golden_packets)
-        .u64("tp", golden.0)
-        .u64("fp", golden.1)
-        .u64("tn", golden.2)
-        .u64("fn", golden.3)
-        .bool("unchanged", true);
 
     let boundary_strs: Vec<String> = PHASE_BOUNDARIES.iter().map(|b| b.to_string()).collect();
     let rule_len_strs: Vec<String> = rule_lens.iter().map(|l| l.to_string()).collect();
     let mut training_json = json::Object::new();
     training_json
-        .raw("boundaries", json::array(&boundary_strs, 1))
+        .raw("boundaries", json::array(&boundary_strs, 3))
         .u64("pkt_threshold", 4)
         .u64("phases", phase_rules.len() as u64)
         .u64("warm_started", warm_started as u64)
-        .raw("rules_per_phase", json::array(&rule_len_strs, 1));
+        .raw("rules_per_phase", json::array(&rule_len_strs, 3));
 
-    PhaseSweepDoc {
-        training: training_json.render(1),
-        scenarios: json::array(&scenario_sections, 1),
-        golden: golden_json.render(1),
-    }
+    let mut phases_json = json::Object::new();
+    phases_json
+        .raw("phase_training", training_json.render(2))
+        .raw("scenarios", json::array(&scenario_sections, 2));
+    phases_json.render(1)
 }
+
+/// Telemetry names each sweep must leave in the verified snapshot: the
+/// sketch admission counters, the ruleset lifecycle and drift trigger,
+/// the overload pressure/shedding signals, and the phase ladder.
+const TELEMETRY_MARKERS: [&str; 20] = [
+    "switch.sketch.promoted",
+    "switch.sketch.absorbed",
+    "switch.sketch.evicted",
+    "switch.ruleset.installed",
+    "switch.ruleset.removed",
+    "switch.ruleset.swaps",
+    "switch.ruleset.stale",
+    "switch.ruleset.replayed",
+    "switch.controller.drift_trigger",
+    "core.drift.fired",
+    "switch.flow_table.pressure",
+    "switch.overload.degraded_enter",
+    "switch.overload.degraded_exit",
+    "switch.overload.shed_benign",
+    "switch.overload.admission_tightened",
+    "switch.phase.boundary",
+    "switch.phase.convicted",
+    "switch.phase.escalated",
+    "core.phase.trained",
+    "core.phase.warm_starts",
+];
 
 fn main() {
     let args = parse_args();
@@ -2409,6 +2273,7 @@ fn main() {
     iguard_telemetry::set_enabled(true);
     iguard_telemetry::registry::reset();
 
+    let mut gates = Gates::default();
     let mut stages = [
         StageStat::new("fit"),
         StageStat::new("distill"),
@@ -2428,42 +2293,55 @@ fn main() {
     eprintln!("bench_report: shard sweep (1/2/4/8 shards vs serial pipeline)");
     let sweep_iters = if args.smoke { 1 } else { 5 };
     let (base_min_ns, base_report, sweep) =
-        run_shard_sweep(args.seed, sweep_iters, &run.fl_rules, &run.pl_rules);
+        run_shard_sweep(&mut gates, args.seed, sweep_iters, &run.fl_rules, &run.pl_rules);
 
     eprintln!("bench_report: chaos sweep (drop-rate curve + digest outage)");
-    let chaos_points = run_chaos_sweep(args.seed, &run.fl_rules, &run.pl_rules);
+    let chaos_points = run_chaos_sweep(&mut gates, args.seed, &run.fl_rules, &run.pl_rules);
 
     eprintln!("bench_report: rule-index sweep (linear vs indexed, 64/256/1024 rules)");
     let index_iters = if args.smoke { 3 } else { 9 };
-    let index_points = run_rule_index_sweep(args.seed, index_iters);
+    let index_points = run_rule_index_sweep(&mut gates, args.seed, index_iters);
 
     eprintln!("bench_report: replay-trace verdict parity (linear vs indexed vs sharded)");
-    let (parity_rows, parity_wl) = run_replay_parity(args.seed, &run.fl_rules, &run.pl_rules);
+    let (parity_rows, parity_wl) =
+        run_replay_parity(&mut gates, args.seed, &run.fl_rules, &run.pl_rules);
 
     eprintln!("bench_report: SoA replay (columnar vs scalar pipeline, 1 worker)");
     // Interleaved scalar/columnar iterations with min-of-iters on both
     // sides: enough samples that one background-noise burst cannot sink
     // the gated ratio (each pair costs only a few ms).
     let soa_iters = if args.smoke { 7 } else { 9 };
-    let soa = run_soa_replay(args.seed, soa_iters, &run.fl_rules, &run.pl_rules);
+    let soa = run_soa_replay(&mut gates, args.seed, soa_iters, &run.fl_rules, &run.pl_rules);
 
-    eprintln!("bench_report: streaming sketch sweep (PR-7)");
+    eprintln!("bench_report: streaming sketch sweep");
     let (stream_cfg, stream_runs, alloc_probe) =
-        run_streaming_sweep(args.seed, args.smoke, &run.fl_rules, &run.pl_rules);
+        run_streaming_sweep(&mut gates, args.seed, args.smoke, &run.fl_rules, &run.pl_rules);
 
-    eprintln!("bench_report: ruleset swap sweep (PR-8 drift adaptation loop)");
-    let swap_doc = run_ruleset_swap_sweep(args.seed, &run.pl_rules);
+    eprintln!("bench_report: ruleset swap sweep (drift adaptation loop)");
+    let swap_json = run_ruleset_swap_sweep(&mut gates, args.seed, &run.pl_rules);
 
-    eprintln!("bench_report: overload-resilience sweep (PR-9 adversarial scenario canon)");
-    let overload_doc = run_overload_sweep(args.seed, &run.fl_rules, &run.pl_rules);
+    eprintln!("bench_report: overload-resilience sweep (adversarial scenario canon)");
+    let overload_json = run_overload_sweep(&mut gates, args.seed, &run.fl_rules, &run.pl_rules);
 
-    eprintln!("bench_report: phase-aware classification sweep (PR-10 early verdicts)");
-    let phase_doc = run_phase_sweep(args.seed, &run.fl_rules, &run.pl_rules);
+    eprintln!("bench_report: phase-aware classification sweep (early verdicts)");
+    let phases_json = run_phase_sweep(&mut gates, args.seed, &run.fl_rules, &run.pl_rules);
+
+    eprintln!("bench_report: golden gate (exact path, phases disabled)");
+    let golden_json = run_golden(&mut gates);
 
     let snapshot = iguard_telemetry::registry::snapshot().expect("telemetry enabled");
-    if let Err(e) = snapshot.verify() {
+    let violation = snapshot.verify().err();
+    if let Some(e) = &violation {
         eprintln!("bench_report: telemetry invariant violation: {e}");
-        std::process::exit(1);
+    }
+    gates.check("telemetry.invariant_violations", f64::from(violation.is_some()), Op::Eq, 0.0);
+    // Every sweep shares this process, so each layer's counters must be on
+    // the board in the verified snapshot.
+    for name in TELEMETRY_MARKERS {
+        let present = snapshot.counters.contains_key(name)
+            || snapshot.histograms.contains_key(name)
+            || snapshot.spans.contains_key(name);
+        gates.check(format!("telemetry.{name}"), f64::from(present), Op::Eq, 1.0);
     }
 
     let usage = ResourceModel::for_deployment(
@@ -2571,7 +2449,6 @@ fn main() {
             .u64("host_cpus", std::thread::available_parallelism().map_or(1, |n| n.get()) as u64)
             .u64("trace_packets", base_report.packets)
             .f64("single_shard_overhead", single.min_ns as f64 / base_min_ns as f64)
-            .bool("deterministic_across_shards", true)
             .raw("baseline_pipeline", baseline_json.render(2))
             .raw("shards", json::array(&points_json, 2));
     }
@@ -2617,7 +2494,6 @@ fn main() {
             .u64("batch_size", CHAOS_BATCH as u64)
             .u64("resync_interval_ticks", CHAOS_RESYNC)
             .u64("trace_packets", chaos_points[0].report.packets)
-            .bool("deterministic_replay", true)
             .raw("scenarios", json::array(&points_json, 2));
     }
 
@@ -2643,9 +2519,6 @@ fn main() {
             .u64("probes", INDEX_PROBES as u64)
             .u64("dims", INDEX_DIMS as u64)
             .u64("iters", index_iters as u64)
-            // Hard-gated above: the run aborts before writing the report
-            // if any indexed verdict diverges from its linear twin.
-            .bool("verdicts_identical", true)
             .f64("speedup_gate", 2.0)
             .u64("speedup_gate_min_rules", 256)
             .raw("points", json::array(&points_json, 1));
@@ -2654,9 +2527,6 @@ fn main() {
     let mut parity_json = json::Object::new();
     parity_json
         .u64("rows", parity_rows as u64)
-        // Hard-gated in run_replay_parity: serial linear scan, serial
-        // indexed batch and 8-shard indexed batch agreed byte-for-byte.
-        .bool("verdicts_identical", true)
         .u64("wl_lookups", parity_wl.lookups)
         .u64("wl_hits", parity_wl.hits);
 
@@ -2671,37 +2541,8 @@ fn main() {
         .f64("scalar_mpps", soa.scalar_mpps)
         .f64("soa_mpps", soa.soa_mpps)
         .f64("speedup", soa.speedup)
-        .f64("speedup_gate", 2.0)
-        // Hard-gated in run_soa_replay: the columnar path's verdicts,
-        // digests, path counters, and whitelist counters matched the
-        // scalar oracle on every timed run, and the ≥2× throughput gate
-        // held — or the run aborted before writing this file.
-        .bool("verdicts_identical", true);
+        .f64("speedup_gate", 2.0);
 
-    let mut root = json::Object::new();
-    root.str("schema", "iguard-bench-pr6")
-        .u64("version", 1)
-        .u64("seed", args.seed)
-        .bool("smoke", args.smoke)
-        .u64("iterations", iterations as u64)
-        .u64("workers", iguard_runtime::par::current_workers() as u64)
-        .raw("stages", stages_json.render(1))
-        .raw("rules", rules_json.render(1))
-        .raw("tcam", tcam_json.render(1))
-        .raw("flow_table", flow_json.render(1))
-        .raw("replay", replay_json.render(1))
-        .raw("shard_sweep", sweep_json.render(1))
-        .raw("chaos_sweep", chaos_json.render(1))
-        .raw("rule_index", index_json.render(1))
-        .raw("replay_parity", parity_json.render(1))
-        .raw("soa_replay", soa_json.render(1))
-        .raw("telemetry", snapshot.to_json_at(1));
-    let doc = root.render(0) + "\n";
-
-    std::fs::write(&args.out, &doc).expect("write report");
-    eprintln!("bench_report: wrote {}", args.out);
-
-    // --- BENCH_PR7.json: the streaming sketch sweep as its own document.
     let exact = &stream_runs[0];
     let mut runs_json = Vec::new();
     for r in &stream_runs {
@@ -2733,9 +2574,9 @@ fn main() {
             if let Some(b) = s.budget_bytes {
                 sj.u64("budget_bytes", b as u64);
             }
-            o.raw("sketch", sj.render(2));
+            o.raw("sketch", sj.render(4));
         }
-        runs_json.push(o.render(2));
+        runs_json.push(o.render(3));
     }
 
     let mut alloc_json = json::Object::new();
@@ -2746,110 +2587,121 @@ fn main() {
         .f64(
             "allocs_per_batch",
             alloc_probe.marginal_allocs as f64 / alloc_probe.marginal_batches.max(1) as f64,
-        )
-        // Hard-gated in run_streaming_sweep: the run aborts before writing
-        // this file if the streaming path allocates once per batch.
-        .bool("steady_state_allocation_free", true);
+        );
 
-    let mut root7 = json::Object::new();
-    root7
-        .str("schema", "iguard-bench-pr7")
-        .u64("version", 1)
-        .u64("seed", args.seed)
-        .bool("smoke", args.smoke)
+    let mut stream_json = json::Object::new();
+    stream_json
         .u64("flows", stream_cfg.total_flows)
         .u64("users", stream_cfg.users as u64)
         .u64("batch_size", STREAM_BATCH as u64)
-        // Hard-gated in run_streaming_sweep: exact-mode sketched replay
-        // matched the exact pipeline's confusion matrix, digests, packet
-        // count and blacklist, and every budgeted point held its budget.
-        .bool("exact_mode_parity", true)
-        .bool("budgets_respected", true)
-        .raw("runs", json::array(&runs_json, 1))
-        .raw("alloc_probe", alloc_json.render(1));
-    let doc7 = root7.render(0) + "\n";
-    std::fs::write(&args.out_pr7, &doc7).expect("write PR7 report");
-    eprintln!("bench_report: wrote {}", args.out_pr7);
+        .raw("runs", json::array(&runs_json, 2))
+        .raw("alloc_probe", alloc_json.render(2));
 
-    // --- BENCH_PR8.json: the drift-adaptation / ruleset-swap loop.
-    let mut root8 = json::Object::new();
-    root8
-        .str("schema", "iguard-bench-pr8")
-        .u64("version", 1)
+    let all_gates_pass = gates.all_pass();
+    let mut root = json::Object::new();
+    root.str("schema", "iguard-bench")
+        .u64("version", 2)
         .u64("seed", args.seed)
         .bool("smoke", args.smoke)
-        // Every gate in run_ruleset_swap_sweep is hard: the run aborts
-        // before writing this file if the drift trigger misfires, a diff
-        // out-churns a full reinstall, any packet sees a blended ruleset
-        // mid-swap, a faulted swap fails to converge on the fault-free
-        // fingerprint, or any shard/worker combination diverges.
-        .bool("gates_enforced", true)
-        .raw("drift_loop", swap_doc.drift_loop)
-        .raw("rule_diff", swap_doc.rule_diff)
-        .raw("swap_window", swap_doc.swap_window)
-        .raw("fault_convergence", swap_doc.fault_convergence)
-        .raw("determinism", swap_doc.determinism)
-        .raw("versioning", swap_doc.versioning);
-    let doc8 = root8.render(0) + "\n";
-    std::fs::write(&args.out_pr8, &doc8).expect("write PR8 report");
-    eprintln!("bench_report: wrote {}", args.out_pr8);
+        .u64("iterations", iterations as u64)
+        .u64("workers", iguard_runtime::par::current_workers() as u64)
+        .raw("stages", stages_json.render(1))
+        .raw("rules", rules_json.render(1))
+        .raw("tcam", tcam_json.render(1))
+        .raw("flow_table", flow_json.render(1))
+        .raw("replay", replay_json.render(1))
+        .raw("shard_sweep", sweep_json.render(1))
+        .raw("chaos", chaos_json.render(1))
+        .raw("rule_index", index_json.render(1))
+        .raw("replay_parity", parity_json.render(1))
+        .raw("columnar", soa_json.render(1))
+        .raw("streaming", stream_json.render(1))
+        .raw("swap", swap_json)
+        .raw("overload", overload_json)
+        .raw("phases", phases_json)
+        .raw("golden", golden_json)
+        .raw("telemetry", snapshot.to_json_at(1))
+        .raw("gates", gates.to_json(1))
+        .bool("all_gates_pass", all_gates_pass);
+    std::fs::write(&args.out, root.render(0) + "\n").expect("write report");
+    eprintln!("bench_report: wrote {}", args.out);
+    if !all_gates_pass {
+        let failed = gates.0.iter().filter(|g| !g.pass).count();
+        eprintln!("bench_report: {failed} of {} gates failed", gates.0.len());
+        std::process::exit(1);
+    }
+}
 
-    // --- BENCH_PR9.json: the overload-resilience scorecard.
-    let mut ft9_json = json::Object::new();
-    ft9_json
-        .u64("slots_per_table", OVERLOAD_SLOTS as u64)
-        .u64("pkt_threshold", 4)
-        .u64("batch_size", OVERLOAD_BATCH as u64);
-    let ocfg = OverloadConfig::default();
-    let mut ocfg_json = json::Object::new();
-    ocfg_json
-        .u64("digest_buffer_cap", ocfg.digest_buffer_cap as u64)
-        .u64("degrade_enter_milli", ocfg.degrade_enter_milli as u64)
-        .u64("degrade_exit_milli", ocfg.degrade_exit_milli as u64)
-        .u64("degrade_calm_batches", ocfg.degrade_calm_batches as u64);
-    let mut root9 = json::Object::new();
-    root9
-        .str("schema", "iguard-bench-pr9")
-        .u64("version", 1)
-        .u64("seed", args.seed)
-        .bool("smoke", args.smoke)
-        // Every gate in run_overload_sweep is hard: the run aborts before
-        // writing this file if any shard/worker grid point's fingerprint
-        // diverges, a churn storm fails to cycle degraded mode (enter,
-        // shed, exit, full recovery), benign FPs inflate past the
-        // shedding-disabled twin's cap, the storm-worn pipeline fails to
-        // reconverge with a fresh one, the sketch-admission seam fails to
-        // tighten under pressure (or tightens while calm), or the PR-2
-        // golden matrix moves on the exact path.
-        .bool("gates_enforced", true)
-        .raw("flow_table", ft9_json.render(1))
-        .raw("overload_config", ocfg_json.render(1))
-        .raw("scenarios", overload_doc.scenarios)
-        .raw("recovery", overload_doc.recovery)
-        .raw("admission", overload_doc.admission)
-        .raw("golden_exact_path", overload_doc.golden);
-    let doc9 = root9.render(0) + "\n";
-    std::fs::write(&args.out_pr9, &doc9).expect("write PR9 report");
-    eprintln!("bench_report: wrote {}", args.out_pr9);
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    // --- BENCH_PR10.json: the phase-aware detection-latency scorecard.
-    let mut root10 = json::Object::new();
-    root10
-        .str("schema", "iguard-bench-pr10")
-        .u64("version", 1)
-        .u64("seed", args.seed)
-        .bool("smoke", args.smoke)
-        // Every gate in run_phase_sweep is hard: the run aborts before
-        // writing this file if a phases-disabled run diverges from the
-        // single-shot baseline, any shard/worker grid point's fingerprint
-        // diverges with phases enabled, pulse-wave median exposure fails
-        // to strictly improve on single-shot, state-exhaustion mitigates
-        // nothing, or the PR-2 golden matrix moves with phases disabled.
-        .bool("gates_enforced", true)
-        .raw("phase_training", phase_doc.training)
-        .raw("scenarios", phase_doc.scenarios)
-        .raw("golden_exact_path", phase_doc.golden);
-    let doc10 = root10.render(0) + "\n";
-    std::fs::write(&args.out_pr10, &doc10).expect("write PR10 report");
-    eprintln!("bench_report: wrote {}", args.out_pr10);
+    const OPS: [Op; 5] = [Op::Le, Op::Lt, Op::Ge, Op::Gt, Op::Eq];
+
+    #[test]
+    fn each_op_at_its_boundary() {
+        // (op, passes at measured == bound, below, above)
+        let table = [
+            (Op::Le, true, true, false),
+            (Op::Lt, false, true, false),
+            (Op::Ge, true, false, true),
+            (Op::Gt, false, false, true),
+            (Op::Eq, true, false, false),
+        ];
+        for (op, at, below, above) in table {
+            assert_eq!(op.holds(2.0, 2.0), at, "{op:?} at the bound");
+            assert_eq!(op.holds(1.0, 2.0), below, "{op:?} below the bound");
+            assert_eq!(op.holds(3.0, 2.0), above, "{op:?} above the bound");
+        }
+    }
+
+    #[test]
+    fn nan_never_passes() {
+        let mut gates = Gates::default();
+        for op in OPS {
+            gates.check("nan.measured", f64::NAN, op, 0.0);
+            gates.check("nan.bound", 0.0, op, f64::NAN);
+        }
+        assert_eq!(gates.0.len(), 10);
+        assert!(gates.0.iter().all(|g| !g.pass));
+    }
+
+    #[test]
+    fn one_failing_row_fails_the_table() {
+        let mut gates = Gates::default();
+        assert!(gates.all_pass(), "an empty table passes");
+        gates.check("a", 0.0, Op::Eq, 0.0);
+        gates.check("b", 2.0, Op::Ge, 2.0);
+        assert!(gates.all_pass());
+        gates.check("c", 1.0, Op::Lt, 1.0);
+        gates.check("d", 5.0, Op::Gt, 4.0);
+        assert!(!gates.all_pass());
+        let pass: Vec<bool> = gates.0.iter().map(|g| g.pass).collect();
+        assert_eq!(pass, [true, true, false, true], "a failure is recorded, not fatal");
+    }
+
+    #[test]
+    fn rows_render_one_line_each() {
+        let mut gates = Gates::default();
+        gates.check("columnar.speedup", 2.5, Op::Ge, 2.0);
+        gates.check("golden.confusion_distance", 1.0, Op::Eq, 0.0);
+        gates.check("streaming.budget_512.resident_bytes", 10.0, Op::Le, f64::NAN);
+        let doc = gates.to_json(1);
+        let rows: Vec<&str> = doc.lines().filter(|l| l.contains("\"name\"")).collect();
+        assert_eq!(
+            rows,
+            [
+                r#"    {"name": "columnar.speedup", "measured": 2.5, "op": ">=", "bound": 2, "pass": true},"#,
+                r#"    {"name": "golden.confusion_distance", "measured": 1, "op": "==", "bound": 0, "pass": false},"#,
+                r#"    {"name": "streaming.budget_512.resident_bytes", "measured": 10, "op": "<=", "bound": null, "pass": false}"#,
+            ]
+        );
+        assert!(doc.starts_with("[\n") && doc.ends_with("  ]"));
+    }
+
+    #[test]
+    fn confusion_distance_is_zero_only_on_equal_matrices() {
+        assert_eq!(confusion_distance((1, 2, 3, 4), (1, 2, 3, 4)), 0.0);
+        assert_eq!(confusion_distance((1, 2, 3, 4), (2, 2, 1, 4)), 3.0);
+    }
 }

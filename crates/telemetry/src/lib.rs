@@ -23,8 +23,9 @@
 //! min ≤ mean ≤ max, bucket boundaries cover the recorded range) and
 //! [`Snapshot::verify_monotonic_since`] checks that counters never move
 //! backwards between two snapshots of the same process. The bench reporter
-//! runs both before writing `BENCH_PR2.json`, so a broken counter shows up
-//! as a failed run, not a silently wrong baseline.
+//! records `verify` as the `telemetry.invariant_violations` gate row of
+//! `BENCH.json`, so a broken counter shows up as a failed run, not a
+//! silently wrong baseline.
 //!
 //! ## Determinism
 //!
