@@ -237,12 +237,15 @@ impl StageStat {
     fn time<R>(&mut self, f: impl FnOnce() -> R) -> R {
         let t = Instant::now();
         let r = f();
-        let ns = t.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        self.record(t.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+        r
+    }
+
+    fn record(&mut self, ns: u64) {
         self.iters += 1;
         self.total_ns += ns;
         self.min_ns = self.min_ns.min(ns);
         self.max_ns = self.max_ns.max(ns);
-        r
     }
 
     fn to_json(&self, indent: usize) -> String {
@@ -263,6 +266,49 @@ fn specs_for(rules: &RuleSet) -> Vec<FieldSpec> {
         .iter()
         .map(|&(_, hi)| FieldSpec::new(16, (65_535.0 / hi.max(1e-6)).min(65_535.0)))
         .collect()
+}
+
+/// Whitelist compilation at the deployed size: the default-config forest
+/// (20 trees, Ψ = 256) that `perfbench` set-up trains from its fixed
+/// training seed, compiled `iters` times, so this times the same compile
+/// as perfbench's `core.rulegen_fl.s`. Reported, not gated. The
+/// `decompose` and `merge` splits come from the
+/// `core.rules.{decompose,merge}` telemetry spans.
+fn run_deployed_rulegen(iters: usize) -> String {
+    let mut rng = Rng::seed_from_u64(0x7EA1_0000);
+    let benign = benign_trace(300, 10.0, &mut rng);
+    let mut rng = Rng::seed_from_u64(rng.next_u64());
+    let train = extract_flows(&benign, &ExtractConfig::default());
+    let teacher = OracleTeacher(|x: &[f32]| x[10] < 0.0008 || x[2] > 1200.0);
+    let ig = IGuardConfig::default();
+    let mut forest = IGuardForest::fit(&train.features, &teacher, &ig, &mut rng);
+    forest.distill(&train.features, &teacher, ig.k_augment, &mut rng);
+    let span_ns = |name: &str| {
+        let snap = iguard_telemetry::registry::snapshot().expect("telemetry enabled");
+        snap.spans.get(name).map_or(0, |s| s.total_ns)
+    };
+    let (mut total, mut decompose, mut merge) =
+        (StageStat::new("total"), StageStat::new("decompose"), StageStat::new("merge"));
+    let mut rules = None;
+    for _ in 0..iters {
+        let (d0, m0) = (span_ns("core.rules.decompose"), span_ns("core.rules.merge"));
+        rules = Some(
+            total.time(|| RuleSet::from_iguard(&forest, 600_000).expect("deployed FL budget")),
+        );
+        decompose.record(span_ns("core.rules.decompose") - d0);
+        merge.record(span_ns("core.rules.merge") - m0);
+    }
+    let rules = rules.expect("at least one iteration");
+    let mut o = json::Object::new();
+    o.u64("iters", total.iters)
+        .f64("mean_ns", total.total_ns as f64 / total.iters.max(1) as f64)
+        .u64("min_ns", total.min_ns)
+        .u64("max_ns", total.max_ns)
+        .u64("regions", rules.total_regions as u64)
+        .u64("rules", rules.len() as u64)
+        .raw("decompose", decompose.to_json(3))
+        .raw("merge", merge.to_json(3));
+    o.render(2)
 }
 
 /// Everything one scenario iteration produces that the report consumes.
@@ -2290,6 +2336,9 @@ fn main() {
     }
     let run = last.expect("at least one iteration");
 
+    eprintln!("bench_report: deployed-size rule compilation (20 trees, reported only)");
+    let deployed_rulegen = run_deployed_rulegen(iterations);
+
     eprintln!("bench_report: shard sweep (1/2/4/8 shards vs serial pipeline)");
     let sweep_iters = if args.smoke { 1 } else { 5 };
     let (base_min_ns, base_report, sweep) =
@@ -2356,6 +2405,7 @@ fn main() {
     for s in &stages {
         stages_json.raw(s.name, s.to_json(2));
     }
+    stages_json.raw("rulegen_fl_deployed", deployed_rulegen);
 
     let mut rules_json = json::Object::new();
     rules_json

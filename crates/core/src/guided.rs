@@ -231,15 +231,29 @@ impl GuidedTree {
     /// reports the first straddling split `(feature, split)` — the
     /// primitive behind whitelist-rule generation.
     pub fn resolve_region(&self, lo: &[f32], hi: &[f32]) -> RegionResolution {
-        let mut idx = 0usize;
+        self.resume_region(&mut 0, lo, hi)
+    }
+
+    /// [`Self::resolve_region`] starting at arena node `*cursor` instead of
+    /// the root, leaving `*cursor` at the node where the walk stopped: the
+    /// leaf, or the straddled split.
+    ///
+    /// Resuming is exact for any sub-region of the region whose walk left
+    /// the cursor there: every split above the cursor compared one of the
+    /// parent's bounds against the split, and a sub-region's bounds lie
+    /// inside the parent's, so each of those comparisons comes out the
+    /// same. Rule compilation splits regions only at a straddled split
+    /// strictly inside them, so each half resumes from its parent's
+    /// cursors instead of re-walking the tree from the root.
+    pub fn resume_region(&self, cursor: &mut u32, lo: &[f32], hi: &[f32]) -> RegionResolution {
         loop {
-            match &self.nodes[idx] {
+            match &self.nodes[*cursor as usize] {
                 GNode::Leaf { leaf_id } => return Ok(*leaf_id),
                 GNode::Internal { feature, split, left, right } => {
                     if hi[*feature] <= *split {
-                        idx = *left;
+                        *cursor = *left as u32;
                     } else if lo[*feature] >= *split {
-                        idx = *right;
+                        *cursor = *right as u32;
                     } else {
                         return Err((*feature, *split));
                     }
